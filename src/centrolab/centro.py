@@ -111,6 +111,27 @@ def _draw(rng: np.random.Generator, dist: str, size) -> np.ndarray:
     )
 
 
+def _mirror(draws: np.ndarray, n: int) -> np.ndarray:
+    """Order-``n`` centrosymmetric matrices from ``(..., class_count(n))`` class draws.
+
+    The representative cells in row-major order are the first
+    ``class_count(n)`` cells of the flattened grid: the top ``n // 2``
+    rows, then, for odd n, the middle row up to and including the
+    center.  Draws fill those cells, the reflection copies them to the
+    rest, and the whole grid is divided by ``sqrt(n)`` in place.
+    """
+    h = n // 2
+    lead = draws.shape[:-1]
+    flat = np.empty(lead + (n * n,))
+    flat[..., : draws.shape[-1]] = draws
+    raw = flat.reshape(lead + (n, n))
+    raw[..., n - h :, :] = raw[..., :h, :][..., ::-1, ::-1]
+    if n % 2 == 1:
+        raw[..., h, h + 1 :] = raw[..., h, :h][..., ::-1]
+    raw /= math.sqrt(n)
+    return raw
+
+
 def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix:
     """Draw one matrix: one variate per entry class, mirrored, scaled by 1/sqrt(n).
 
@@ -125,12 +146,7 @@ def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix
             f"unsupported entry distribution {dist!r}; expected one of {DISTRIBUTIONS}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = representative_mask(n)
-    raw = np.zeros((n, n))
-    raw[mask] = _draw(rng, dist, int(mask.sum()))
-    reflected = raw[::-1, ::-1]
-    raw[~mask] = reflected[~mask]
-    entries = raw / math.sqrt(n)
+    entries = _mirror(_draw(rng, dist, class_count(n)), n)
     entries.flags.writeable = False
     return CentroMatrix(n=n, entries=entries, seed=seed, dist=dist)
 
@@ -149,12 +165,7 @@ def sample_centro_batch(
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = representative_mask(n)
-    raw = np.zeros((trials, n, n))
-    raw[:, mask] = _draw(rng, dist, (trials, int(mask.sum())))
-    reflected = raw[:, ::-1, ::-1]
-    raw[:, ~mask] = reflected[:, ~mask]
-    return raw / math.sqrt(n)
+    return _mirror(_draw(rng, dist, (trials, class_count(n))), n)
 
 
 def assert_centrosymmetric(mat: np.ndarray | CentroMatrix, tol: float = 0.0) -> bool:
@@ -173,7 +184,8 @@ class WeaverBlocks:
 
     ``diag(plus, minus)`` has the same eigenvalue multiset as the source
     matrix.  ``plus`` has order ``ceil(n/2)`` (bordered by an extra row
-    and column when n is odd), ``minus`` has order ``floor(n/2)``.
+    and column when n is odd), ``minus`` has order ``floor(n/2)``.  Split
+    from a ``(..., n, n)`` stack, both blocks keep its leading axes.
     """
 
     plus: np.ndarray
@@ -181,7 +193,8 @@ class WeaverBlocks:
 
 
 def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
-    """Split a centrosymmetric matrix into its two similarity blocks.
+    """Split a centrosymmetric matrix, or a ``(..., n, n)`` stack of them,
+    into its two similarity blocks.
 
     Even n = 2m, with M = [[A, B], [C, D]] in m-by-m blocks:
     ``plus = A + J C`` and ``minus = A - J C``.
@@ -191,19 +204,20 @@ def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
     ``plus = [[A + J C, sqrt(2) u], [sqrt(2) p^T, q]]``, ``minus = A - J C``.
     """
     a = m.entries if isinstance(m, CentroMatrix) else np.asarray(m, dtype=float)
-    n = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
+    n = a.shape[-1]
     h = n // 2
-    A = a[:h, :h]
-    C = a[n - h :, :h]
-    jc = C[::-1, :]  # J @ C reverses the rows of C
+    A = a[..., :h, :h]
+    jc = a[..., n - h :, :h][..., ::-1, :]  # J @ C reverses the rows of C
     minus = A - jc
     if n % 2 == 0:
         return WeaverBlocks(plus=A + jc, minus=minus)
-    plus = np.zeros((h + 1, h + 1))
-    plus[:h, :h] = A + jc
-    plus[:h, h] = math.sqrt(2.0) * a[:h, h]
-    plus[h, :h] = math.sqrt(2.0) * a[h, :h]
-    plus[h, h] = a[h, h]
+    plus = np.empty(a.shape[:-2] + (h + 1, h + 1))
+    plus[..., :h, :h] = A + jc
+    plus[..., :h, h] = math.sqrt(2.0) * a[..., :h, h]
+    plus[..., h, :h] = math.sqrt(2.0) * a[..., h, :h]
+    plus[..., h, h] = a[..., h, h]
     return WeaverBlocks(plus=plus, minus=minus)
 
 

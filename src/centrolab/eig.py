@@ -5,9 +5,15 @@ Householder reduction to Hessenberg form, then implicit double-shift
 (Francis) QR with deflation.  Complex conjugate pairs emerge from real
 2x2 blocks, so the iteration itself never touches complex arithmetic.
 
-``trace_power`` deliberately avoids the eigensolver (repeated matrix
-multiplication with a running trace), giving a second, independent path
-to spectral sums for cross-checking.
+Spectral power sums also have a route that avoids the eigensolver.
+``trace_powers`` is the batched core of that route: for a matrix or a
+``(..., n, n)`` stack it forms only the half powers A^2 .. A^ceil(k/2)
+and reads ``Tr A^k = sum(A^i * (A^j)^T)`` (i + j = k) off two of them.
+The Monte Carlo engine applies it to the two Weaver blocks P and Q of a
+centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``, which needs about
+an eighth of the flops of dense powers of M.  ``trace_power`` (repeated
+multiplication of the full matrix with one final trace) is the dense
+reference that tests and benchmark checks compare the core against.
 """
 
 from __future__ import annotations
@@ -272,37 +278,35 @@ def trace_power(mat, k: int) -> float:
 
 
 def trace_powers(mat, k_max: int) -> np.ndarray:
-    """Traces of M^1 .. M^k_max from one running product (one matmul each)."""
+    """Traces of A^1 .. A^k_max for a real matrix or a ``(..., n, n)`` stack.
+
+    Forms the half powers A^2 .. A^h with ``h = ceil(k_max / 2)``, that is
+    ``h - 1`` products, and reads each trace off two of them:
+    ``Tr A^k = sum(A^i * (A^j)^T)`` with ``i = ceil(k/2)``, ``j = floor(k/2)``.
+    Returns shape ``(..., k_max)``; Tr A^1 is the diagonal sum.
+    """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")
-    a = _as_array(mat)
-    out = np.empty(k_max)
-    p = a
-    out[0] = np.trace(p)
-    for k in range(1, k_max):
-        p = p @ a
-        out[k] = np.trace(p)
+    a = mat.entries if isinstance(mat, CentroMatrix) else np.asarray(mat, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
+    powers = [None, a]  # powers[i] is A^i
+    for _ in range((k_max + 1) // 2 - 1):
+        powers.append(powers[-1] @ a)
+    out = np.empty(a.shape[:-2] + (k_max,))
+    out[..., 0] = np.trace(a, axis1=-2, axis2=-1)
+    for k in range(2, k_max + 1):
+        out[..., k - 1] = np.einsum("...ij,...ji->...", powers[(k + 1) // 2], powers[k // 2])
     return out
 
 
 def trace_powers_batch(stack: np.ndarray, k_max: int) -> np.ndarray:
     """Traces of M^1 .. M^k_max for a ``(trials, n, n)`` stack of matrices.
 
-    Vectorized over trials; intended for small orders where holding the
-    whole stack is cheap.  Returns shape ``(trials, k_max)``.
+    Same as ``trace_powers``, which takes any stack; returns shape
+    ``(trials, k_max)``.
     """
-    if k_max < 1:
-        raise ValueError(f"power must be positive, got {k_max}")
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (trials, n, n) stack, got shape {a.shape}")
-    out = np.empty((a.shape[0], k_max))
-    p = a
-    out[:, 0] = np.einsum("tii->t", p)
-    for k in range(1, k_max):
-        p = p @ a
-        out[:, k] = np.einsum("tii->t", p)
-    return out
+    return trace_powers(stack, k_max)
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:

@@ -6,10 +6,21 @@ For a polynomial test function f, the eigenvalue statistic
 sample mean, and compared against the theoretical limiting variance and
 a standard-normal shape via the Kolmogorov-Smirnov statistic.
 
-Every trial owns a derived seed (``splitmix64(master_seed XOR trial)``),
-so the sample multiset is independent of the execution schedule and the
-worker count; reductions run in trial-index order to keep reports
-bit-identical for a fixed master seed.
+The trace path is Weaver-first: a centrosymmetric M is orthogonally
+similar to ``diag(P, Q)`` with blocks of half order, so
+``Tr M^k = Tr P^k + Tr Q^k``, and ``trace_powers`` evaluates each block
+from its half powers.  Tr M^1 is read off M's own diagonal.
+``run_clt``, ``moment_suite`` and ``les_polynomial`` share one trial
+loop that samples trials into stacks of about 1 MiB of entries and
+traces each stack at once.
+
+Every trial owns a derived seed
+(``splitmix64(splitmix64(master_seed) + trial)``), so different master
+seeds draw different matrices and the sample multiset is independent of
+the execution schedule and the worker count.  Stack boundaries depend
+only on the order and the trial count, and reductions run in
+trial-index order, so reports are bit-identical for a fixed master seed
+and any worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .centro import CentroMatrix, sample_centro
+from .centro import CentroMatrix, sample_centro, weaver_blocks
 from .eig import Spectrum, trace_powers
 from .errors import ConfigError, DiagnosticError
 from .poly import Polynomial
@@ -52,8 +63,14 @@ def _splitmix64(x: int) -> int:
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
-    """Derived per-trial seed: splitmix64 applied to master XOR trial index."""
-    return _splitmix64((master_seed ^ trial) & _MASK64)
+    """Derived per-trial seed: ``splitmix64(splitmix64(master_seed) + trial)``.
+
+    Hashing the master seed before adding the trial index keeps the seed
+    sets of different master seeds apart; ``splitmix64`` is a bijection
+    on 64-bit words, so two masters share a seed only when their hashes
+    lie closer together than the trial count.
+    """
+    return _splitmix64((_splitmix64(master_seed & _MASK64) + trial) & _MASK64)
 
 
 def default_threads() -> int:
@@ -74,19 +91,63 @@ def _ordered_map(work, count: int, threads: int | None) -> list:
         return list(pool.map(work, range(count)))
 
 
+def _stack_size(n: int) -> int:
+    """Trials per stack: about 1 MiB (2**17 doubles) of matrix entries, at least one.
+
+    Stacks amortize per-call overhead at small orders; the size cap keeps
+    the extra memory of a stack and its powers small.
+    """
+    return max(1, 2**17 // (n * n))
+
+
+def _stack_traces(stack: np.ndarray, k_max: int) -> np.ndarray:
+    """Tr M^1 .. M^k_max of a ``(trials, n, n)`` stack through its Weaver blocks."""
+    blocks = weaver_blocks(stack)
+    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
+    traces[:, 0] = np.trace(stack, axis1=-2, axis2=-1)
+    return traces
+
+
+def _trial_traces(
+    n: int, trials: int, k_max: int, dist: str, master_seed: int, threads: int | None
+) -> np.ndarray:
+    """Tr M^1 .. M^k_max of every trial's matrix, shape ``(trials, k_max)``.
+
+    Trial t samples its matrix from ``trial_seed(master_seed, t)``;
+    consecutive trials are traced together in stacks of ``_stack_size(n)``.
+    """
+    size = _stack_size(n)
+
+    def work(s: int) -> np.ndarray:
+        first = s * size
+        stack = np.stack(
+            [
+                sample_centro(n, dist, trial_seed(master_seed, t)).entries
+                for t in range(first, min(first + size, trials))
+            ]
+        )
+        return _stack_traces(stack, k_max)
+
+    return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
+
+
+def _les_values(traces: np.ndarray, f: Polynomial, n: int):
+    """L_n(f) from rows of traces Tr M^1 .. M^deg f."""
+    value = f.coeffs[0] * n + sum(
+        f.coeffs[k] * traces[..., k - 1] for k in range(1, f.degree + 1)
+    )
+    return value.real if f.is_real else value
+
+
 def les_polynomial(m: CentroMatrix, f: Polynomial):
     """L_n(f) through the trace path: ``a_0 n + sum_k a_k Tr M^k``.
 
-    Uses repeated matrix multiplication only; returns a float for real
-    coefficients, complex otherwise.
+    Uses the Weaver blocks and matrix products only; returns a float for
+    real coefficients, complex otherwise.
     """
     if f.degree < 1:
         raise ValueError("test polynomial must have degree at least 1")
-    traces = trace_powers(m.entries, f.degree)
-    value = f.coeffs[0] * m.n + sum(
-        f.coeffs[k] * traces[k - 1] for k in range(1, f.degree + 1)
-    )
-    return value.real if f.is_real else value
+    return _les_values(_stack_traces(m.entries[None], f.degree)[0], f, m.n)
 
 
 def les_analytic(spec: Spectrum, f) -> complex:
@@ -156,13 +217,8 @@ def run_clt(
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     start = time.perf_counter()
-
-    def work(t: int):
-        m = sample_centro(n, dist, trial_seed(master_seed, t))
-        return les_polynomial(m, f)
-
-    raw = _ordered_map(work, trials, threads)
-    values = np.asarray(raw, dtype=float if f.is_real else complex)
+    traces = _trial_traces(n, trials, f.degree, dist, master_seed, threads)
+    values = _les_values(traces, f, n)
     centered = values - values.mean()
     if f.is_real:
         empirical = float(values.var(ddof=1))
@@ -262,12 +318,7 @@ def moment_suite(
         raise ConfigError(f"need k_max >= 2, got {k_max}")
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
-
-    def work(t: int) -> np.ndarray:
-        m = sample_centro(n, dist, trial_seed(master_seed, t))
-        return trace_powers(m.entries, k_max)
-
-    traces = np.vstack(_ordered_map(work, trials, threads))
+    traces = _trial_traces(n, trials, k_max, dist, master_seed, threads)
     entries: list[MomentEntry] = []
     for k in range(1, k_max + 1):
         entries.append(_moment_entry(traces[:, k - 1], k, None))

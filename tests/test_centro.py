@@ -131,6 +131,32 @@ class TestSampler:
         ) * math.sqrt(n)
         assert abs(vals.var(ddof=1) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("dist", cl.DISTRIBUTIONS)
+    @pytest.mark.parametrize("n", [*range(1, 13), 1000])
+    def test_sliced_sampler_matches_class_fill_reference(self, n, dist):
+        # reference: draws fill the representative cells in row-major
+        # order, each draw is copied to its mirror cell, then all cells
+        # are divided by sqrt(n)
+        def reference(seed, trials=None):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            shape = (cl.class_count(n),) if trials is None else (trials, cl.class_count(n))
+            if dist == "gaussian":
+                draws = rng.standard_normal(shape)
+            else:
+                draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
+            rows, cols = np.nonzero(representative_mask(n))
+            raw = np.full(shape[:-1] + (n, n), np.nan)
+            raw[..., rows, cols] = draws
+            raw[..., n - 1 - rows, n - 1 - cols] = draws
+            assert not np.isnan(raw).any()
+            return raw / math.sqrt(n)
+
+        single = cl.sample_centro(n, dist, 40 + n).entries
+        assert single.tobytes() == reference(40 + n).tobytes()
+        trials = 2 if n == 1000 else 5
+        batch = cl.sample_centro_batch(n, trials, dist, 7 * n)
+        assert batch.tobytes() == reference(7 * n, trials).tobytes()
+
     def test_batch_matches_contract(self):
         stack = cl.sample_centro_batch(5, 20, "gaussian", 33)
         assert stack.shape == (20, 5, 5)
@@ -207,6 +233,21 @@ class TestWeaver:
         blocks = cl.weaver_blocks(m)
         assert np.allclose(t[:p, :p], blocks.plus, atol=1e-12)
         assert np.allclose(t[p:, p:], blocks.minus, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_stack_split_matches_per_matrix_split(self, n):
+        stack = cl.sample_centro_batch(n, 4, "gaussian", 60 + n)
+        blocks = cl.weaver_blocks(stack)
+        assert blocks.plus.shape == (4, (n + 1) // 2, (n + 1) // 2)
+        assert blocks.minus.shape == (4, n // 2, n // 2)
+        for t in range(4):
+            one = cl.weaver_blocks(stack[t])
+            assert np.array_equal(blocks.plus[t], one.plus)
+            assert np.array_equal(blocks.minus[t], one.minus)
+
+    def test_split_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            cl.weaver_blocks(np.zeros((3, 2, 3)))
 
     def test_spectrum_preservation_over_50_draws(self):
         for s in range(50):

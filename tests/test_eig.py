@@ -146,6 +146,33 @@ class TestTracePowers:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             cl.trace_power(np.eye(2), 0)
+        with pytest.raises(ValueError):
+            cl.trace_powers(np.eye(2), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 13, 64])
+    def test_half_power_core_matches_dense_reference(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n)) / np.sqrt(n)
+        for k_max in (1, 2, 5, 6):
+            traces = cl.trace_powers(a, k_max)
+            assert traces.shape == (k_max,)
+            for k in range(1, k_max + 1):
+                assert traces[k - 1] == pytest.approx(cl.trace_power(a, k), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 6, 33])
+    def test_stack_matches_per_matrix_calls(self, n):
+        stack = np.random.default_rng(n).standard_normal((2, 3, n, n))
+        traces = cl.trace_powers(stack, 6)
+        assert traces.shape == (2, 3, 6)
+        for s in range(2):
+            for t in range(3):
+                assert np.array_equal(traces[s, t], cl.trace_powers(stack[s, t], 6))
+
+    def test_empty_block_has_zero_traces(self):
+        assert np.array_equal(cl.trace_powers(np.zeros((3, 0, 0)), 4), np.zeros((3, 4)))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            cl.trace_powers(np.zeros((2, 3)), 2)
 
 
 class TestRadialCdf:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import centrolab as cl
-from centrolab.fluctuation import _splitmix64
+from centrolab.fluctuation import _splitmix64, _stack_traces, _trial_traces
 
 
 class TestLesPolynomial:
@@ -42,6 +44,30 @@ class TestLesPolynomial:
             trace_path = cl.les_polynomial(m, f)
             eig_path = cl.les_analytic(cl.eigenvalues(m.entries), lambda z: z**2)
             assert abs(trace_path - eig_path) <= 1e-7 * max(1.0, abs(trace_path))
+
+
+class TestWeaverFirstTraces:
+    @pytest.mark.parametrize("dist", cl.DISTRIBUTIONS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 12, 31])
+    def test_matches_dense_reference(self, n, dist):
+        traces = _trial_traces(n, 3, 6, dist, 5, 1)
+        f = cl.Polynomial([0.5, 0, 1, 0, 0, 4])
+        for t in range(3):
+            m = cl.sample_centro(n, dist, cl.trial_seed(5, t))
+            dense = [cl.trace_power(m.entries, k) for k in range(1, 7)]
+            for k in range(1, 7):
+                assert traces[t, k - 1] == pytest.approx(dense[k - 1], rel=1e-12)
+            assert traces[t, 0] == float(np.trace(m.entries))
+            expected = 0.5 * n + dense[1] + 4.0 * dense[4]
+            assert cl.les_polynomial(m, f) == pytest.approx(expected, rel=1e-12)
+
+    def test_stacks_match_per_matrix_calls(self):
+        # order 40 stacks 81 trials, so 90 trials make a full and a partial stack
+        traces = _trial_traces(40, 90, 4, "gaussian", 8, 2)
+        assert traces.shape == (90, 4)
+        for t in (0, 80, 81, 89):
+            m = cl.sample_centro(40, "gaussian", cl.trial_seed(8, t))
+            assert np.array_equal(traces[t], _stack_traces(m.entries[None], 4)[0])
 
 
 class TestLesAnalytic:
@@ -103,6 +129,20 @@ class TestTrialSeeds:
 
     def test_deterministic(self):
         assert cl.trial_seed(99, 3) == cl.trial_seed(99, 3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.integers(0, 2**64 - 1), b=st.integers(0, 2**64 - 1))
+    def test_distinct_masters_give_disjoint_seed_sets(self, a, b):
+        assume(a != b)
+        seeds_a = {cl.trial_seed(a, t) for t in range(10_000)}
+        seeds_b = {cl.trial_seed(b, t) for t in range(10_000)}
+        assert seeds_a.isdisjoint(seeds_b)
+
+    def test_adjacent_masters_draw_different_matrices(self):
+        f = cl.Polynomial([0, 0, 1])
+        r0 = cl.run_clt(20, 64, f, "gaussian", 0)
+        r1 = cl.run_clt(20, 64, f, "gaussian", 1)
+        assert not np.allclose(np.sort(r0.samples), np.sort(r1.samples))
 
 
 class TestRunClt:
@@ -175,6 +215,11 @@ class TestMomentSuite:
         assert singles == [(1, None), (2, None), (3, None)]
         assert doubles == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
         assert all(e.standard_error > 0 for e in r.entries)
+
+    def test_worker_count_does_not_change_entries(self):
+        # order 40 stacks 81 trials: 200 trials make three stacks
+        reports = [cl.moment_suite(40, 200, 4, "gaussian", 19, threads=w) for w in (1, 2, 8)]
+        assert reports[0].entries == reports[1].entries == reports[2].entries
 
     def test_deterministic(self):
         a = cl.moment_suite(25, 30, 2, "gaussian", 13)
