@@ -31,7 +31,7 @@ def main():
     n, trials = 4, 200_000
     print(f"\nmonte carlo cross-check at n={n} over {trials} draws:")
     stack = cl.sample_centro_batch(n, trials, "gaussian", seed=12)
-    traces = cl.trace_powers_batch(stack, 4)
+    traces = cl.trace_powers(stack, 4)
     for k in (2, 3, 4):
         exact = cl.oracle_single_chain(n, k).value
         x = traces[:, k - 1]

@@ -28,7 +28,6 @@ from .eig import (
     spectral_radial_cdf,
     trace_power,
     trace_powers,
-    trace_powers_batch,
 )
 from .errors import (
     BudgetExceededError,
@@ -117,7 +116,6 @@ __all__ = [
     "spectral_radial_cdf",
     "trace_power",
     "trace_powers",
-    "trace_powers_batch",
     "trial_seed",
     "variance_report",
     "weaver_blocks",

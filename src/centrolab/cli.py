@@ -1,20 +1,25 @@
 """Batch command-line front end.
 
 Commands: ``sample | spectrum | clt | moments | oracle | variance``.
-Configuration comes from an optional flat ``key = value`` file ('#'
-starts a comment) overridden by command-line flags; unknown keys are
-rejected.  Every command is deterministic given its configuration
-(the ``runtime_seconds`` report field excluded).
+Each setting is declared once, in ``SETTINGS``; ``_COMMANDS`` names the
+keys each command reads, and a command takes ``--config`` plus one
+``--<key>`` flag per key it reads.  A config file is flat ``key = value``
+text ('#' starts a comment) that may set any known key, so one file can
+serve several commands; flags override it.  File and flag values pass
+the same parse and check.  Every command is deterministic given its
+configuration (the ``runtime_seconds`` report field excluded).
 
-Exit codes: 0 ok, 1 config, 2 I/O, 3 solver, 4 enumeration budget.
+Exit codes: 0 ok, 1 config or usage, 2 I/O, 3 solver, 4 enumeration budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -22,12 +27,12 @@ from . import io
 from .centro import DISTRIBUTIONS, assert_centrosymmetric, sample_centro
 from .eig import eigenvalues, spectral_radial_cdf
 from .errors import BudgetExceededError, ConfigError, SolverConvergenceError
-from .fluctuation import default_threads, moment_suite, run_clt
+from .fluctuation import moment_suite, run_clt
 from .oracle import DEFAULT_TERM_BUDGET, convergence_table
 from .poly import Polynomial
 from .variance import variance_report
 
-__all__ = ["RunConfig", "main", "parse_config_file"]
+__all__ = ["SETTINGS", "main", "parse_config_file"]
 
 RADIAL_GRID = (0.25, 0.5, 0.75, 1.0, 1.05)
 
@@ -38,150 +43,82 @@ EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated settings for one command invocation."""
+class Setting(NamedTuple):
+    """One configuration key: how its text is parsed, its default, its check and help."""
 
-    command: str
-    n: int = 1000
-    trials: int | None = None
-    kmax: int = 4
-    n_list: list[int] | None = None
-    k_list: list[int] | None = None
-    l_list: list[int] | None = None
-    dist: str = "gaussian"
-    seed: int = 1
-    f: list[float] | None = None
-    radius: float = 1.5
-    nodes: int = 256
-    out: str = "."
-    threads: int | None = None
-    budget: int = DEFAULT_TERM_BUDGET
+    parse: Callable[[str], Any]
+    default: Any
+    check: Callable[[Any], bool]
+    help: str
 
 
-_INT_KEYS = {"n", "trials", "kmax", "nodes", "seed", "threads", "budget"}
-_FLOAT_KEYS = {"radius"}
-_STR_KEYS = {"dist", "out"}
-_FLOAT_LIST_KEYS = {"f"}
-_INT_LIST_KEYS = {"n_list", "k_list", "l_list"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS
+def _list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    return lambda text: [item(v) for v in text.split(",") if v.strip()]
 
 
-def _coerce(key: str, text: str):
+def _positive_entries(values: list[int]) -> bool:
+    return min(values, default=1) >= 1
+
+
+SETTINGS = {
+    "n": Setting(int, 1000, lambda v: v >= 1, "matrix order, >= 1"),
+    "trials": Setting(
+        int, None, lambda v: v >= 2, "Monte Carlo trials, >= 2; default: clt 750, moments 2000"
+    ),
+    "kmax": Setting(int, 4, lambda v: v >= 2, "largest trace power, >= 2"),
+    "dist": Setting(str, "gaussian", DISTRIBUTIONS.__contains__, "entries: gaussian or uniform"),
+    "seed": Setting(int, 1, lambda v: v >= 0, "master seed, >= 0"),
+    "f": Setting(
+        _list(float), None, lambda v: all(map(math.isfinite, v)), "finite coefficients c0,...,cd"
+    ),
+    "radius": Setting(float, 1.5, lambda v: 1.0 < v < math.inf, "contour radius, finite, > 1"),
+    "nodes": Setting(int, 256, lambda v: v >= 2, "quadrature nodes, >= 2"),
+    "threads": Setting(
+        int, None, lambda v: v >= 1, "worker threads, >= 1; default: CENTROLAB_THREADS, else 1"
+    ),
+    "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
+    "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),
+    "l_list": Setting(_list(int), None, _positive_entries, "double-chain powers l1,... >= 1"),
+    "budget": Setting(int, DEFAULT_TERM_BUDGET, lambda v: v >= 1, "enumeration term budget, >= 1"),
+    "out": Setting(str, ".", lambda v: "\0" not in v, "output directory"),
+}
+
+
+def _value(key: str, text: str):
+    """Parse and check one setting; file and flag values both pass through here."""
+    setting = SETTINGS[key]
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _FLOAT_LIST_KEYS:
-            return [float(v) for v in text.split(",") if v.strip() != ""]
-        if key in _INT_LIST_KEYS:
-            return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-    return text
+        value = setting.parse(text)
+        ok = setting.check(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"bad value for {key!r}: {text!r} ({setting.help})")
+    return value
 
 
 def parse_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; unknown keys are rejected."""
+    """Parse a flat ``key = value`` file; unknown keys and bad values are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, text = line.partition("=")
+        key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, text.strip())
+        values[key] = _value(key, value.strip())
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="centrolab",
-        description="Centrosymmetric random-matrix experiments: sampling, "
-        "spectra, trace moments, fluctuation statistics, and limiting variance.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("sample", "draw one matrix and write it as CSV"),
-        ("spectrum", "eigenvalues of one draw plus radial summary"),
-        ("clt", "Monte Carlo fluctuation run with variance and KS report"),
-        ("moments", "Monte Carlo trace-moment estimates against targets"),
-        ("oracle", "exact chain-expectation table by enumeration"),
-        ("variance", "closed form and contour quadratures of the variance"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="flat key=value file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--n", type=int, default=None, help="matrix order")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-        p.add_argument("--f", type=str, default=None, help="coefficients c0,c1,...,cd")
-        p.add_argument("--dist", type=str, default=None, choices=DISTRIBUTIONS)
-        p.add_argument("--radius", type=float, default=None, help="contour radius")
-        p.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
-        p.add_argument("--kmax", type=int, default=None, help="largest trace power")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
-    return parser
-
-
-def _assemble_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.config is not None:
-        try:
-            file_values = parse_config_file(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        for key, value in file_values.items():
-            setattr(cfg, key, value)
-    overrides = {
-        "out": args.out,
-        "seed": args.seed,
-        "n": args.n,
-        "trials": args.trials,
-        "dist": args.dist,
-        "radius": args.radius,
-        "nodes": args.nodes,
-        "kmax": args.kmax,
-        "threads": args.threads,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.f is not None:
-        cfg.f = _coerce("f", args.f)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.n < 1:
-        raise ConfigError(f"matrix order must be positive, got {cfg.n}")
-    if cfg.trials is not None and cfg.trials < 2:
-        raise ConfigError(f"need at least 2 trials, got {cfg.trials}")
-    if cfg.kmax < 2:
-        raise ConfigError(f"kmax must be at least 2, got {cfg.kmax}")
-    if cfg.nodes < 2:
-        raise ConfigError(f"nodes must be at least 2, got {cfg.nodes}")
-    if cfg.radius <= 1.0:
-        raise ConfigError(f"contour radius must exceed 1, got {cfg.radius}")
-    if cfg.dist not in DISTRIBUTIONS:
-        raise ConfigError(f"unsupported distribution {cfg.dist!r}")
-    if cfg.budget < 1:
-        raise ConfigError(f"budget must be positive, got {cfg.budget}")
-    for key in ("n_list", "k_list", "l_list"):
-        values = getattr(cfg, key)
-        if values is not None and any(v < 1 for v in values):
-            raise ConfigError(f"{key} entries must be positive, got {values}")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise ConfigError(f"threads must be positive, got {cfg.threads}")
-
-
-def _polynomial(cfg: RunConfig) -> Polynomial:
+def _polynomial(cfg: SimpleNamespace) -> Polynomial:
     if not cfg.f:
         raise ConfigError("a test polynomial is required (--f c0,c1,...,cd)")
     try:
@@ -190,13 +127,14 @@ def _polynomial(cfg: RunConfig) -> Polynomial:
         raise ConfigError(str(exc)) from exc
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: SimpleNamespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: SimpleNamespace) -> int:
+    """Draw one matrix and write it as CSV."""
     m = sample_centro(cfg.n, cfg.dist, cfg.seed)
     path = io.write_matrix_csv(
         _out_dir(cfg) / f"matrix_n{cfg.n}_{cfg.dist}_seed{cfg.seed}.csv", m
@@ -206,7 +144,8 @@ def cmd_sample(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: SimpleNamespace) -> int:
+    """Eigenvalues of one draw plus radial summary."""
     m = sample_centro(cfg.n, cfg.dist, cfg.seed)
     spec = eigenvalues(m.entries)
     out = _out_dir(cfg)
@@ -234,7 +173,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_clt(cfg: RunConfig) -> int:
+def cmd_clt(cfg: SimpleNamespace) -> int:
+    """Monte Carlo fluctuation run with variance and KS report."""
     f = _polynomial(cfg)
     trials = 750 if cfg.trials is None else cfg.trials
     report = run_clt(cfg.n, trials, f, cfg.dist, cfg.seed, cfg.threads)
@@ -260,7 +200,8 @@ def cmd_clt(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: SimpleNamespace) -> int:
+    """Monte Carlo trace-moment estimates against targets."""
     trials = 2000 if cfg.trials is None else cfg.trials
     report = moment_suite(cfg.n, trials, cfg.kmax, cfg.dist, cfg.seed, cfg.threads)
     rows = []
@@ -291,7 +232,8 @@ def cmd_moments(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: SimpleNamespace) -> int:
+    """Exact chain-expectation table by enumeration."""
     n_list = cfg.n_list if cfg.n_list else [cfg.n]
     k_list = cfg.k_list if cfg.k_list else list(range(2, cfg.kmax + 1))
     l_list = cfg.l_list if cfg.l_list else []
@@ -301,7 +243,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_variance(cfg: RunConfig) -> int:
+def cmd_variance(cfg: SimpleNamespace) -> int:
+    """Closed form and contour quadratures of the variance."""
     f = _polynomial(cfg)
     report = variance_report(f, cfg.radius, cfg.nodes)
     payload = {
@@ -325,21 +268,59 @@ def cmd_variance(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "sample": cmd_sample,
-    "spectrum": cmd_spectrum,
-    "clt": cmd_clt,
-    "moments": cmd_moments,
-    "oracle": cmd_oracle,
-    "variance": cmd_variance,
+_COMMANDS = {  # name: (handler, the keys it reads); the handler's docstring is its help
+    "sample": (cmd_sample, ("n", "dist", "seed", "out")),
+    "spectrum": (cmd_spectrum, ("n", "dist", "seed", "out")),
+    "clt": (cmd_clt, ("n", "trials", "f", "dist", "seed", "threads", "out")),
+    "moments": (cmd_moments, ("n", "trials", "kmax", "dist", "seed", "threads", "out")),
+    "oracle": (cmd_oracle, ("n", "kmax", "n_list", "k_list", "l_list", "budget", "out")),
+    "variance": (cmd_variance, ("f", "radius", "nodes", "out")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` on a usage error instead of exiting with status 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="centrolab",
+        description="Centrosymmetric random-matrix experiments: sampling, "
+        "spectra, trace moments, fluctuation statistics, and limiting variance.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, keys) in _COMMANDS.items():
+        # allow_abbrev=False, or ``variance --n 5`` would set --nodes
+        p = sub.add_parser(
+            name, help=run.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS
+        )
+        p.add_argument("--config", help="flat key = value file; may set any key")
+        for key in keys:
+            p.add_argument(f"--{key}", help=SETTINGS[key].help)
+    return parser
+
+
+def _configure(argv) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The command's handler and its settings: defaults, then the config file, then flags.
+
+    The namespace holds exactly the keys the command reads.  ``--help``
+    exits; every other bad input raises ``ConfigError``.
+    """
+    flags = vars(_build_parser().parse_args(argv))
+    run, keys = _COMMANDS[flags.pop("command")]
+    values = parse_config_file(flags.pop("config")) if "config" in flags else {}
+    values.update((key, _value(key, text)) for key, text in flags.items())
+    return run, SimpleNamespace(**{k: values.get(k, SETTINGS[k].default) for k in keys})
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _assemble_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        run, cfg = _configure(argv)
+        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,7 +33,6 @@ __all__ = [
     "spectral_radial_cdf",
     "trace_power",
     "trace_powers",
-    "trace_powers_batch",
 ]
 
 _EPS = np.finfo(float).eps
@@ -298,15 +297,6 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     for k in range(2, k_max + 1):
         out[..., k - 1] = np.einsum("...ij,...ji->...", powers[(k + 1) // 2], powers[k // 2])
     return out
-
-
-def trace_powers_batch(stack: np.ndarray, k_max: int) -> np.ndarray:
-    """Traces of M^1 .. M^k_max for a ``(trials, n, n)`` stack of matrices.
-
-    Same as ``trace_powers``, which takes any stack; returns shape
-    ``(trials, k_max)``.
-    """
-    return trace_powers(stack, k_max)
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:

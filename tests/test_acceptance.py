@@ -74,7 +74,7 @@ def test_c04_oracle_equivalence():
     ok = True
     for n in (2, 3, 4):
         stack = cl.sample_centro_batch(n, 100_000, "gaussian", 41 + n)
-        traces = cl.trace_powers_batch(stack, 4)
+        traces = cl.trace_powers(stack, 4)
         for k in (2, 3, 4):
             exact = cl.oracle_single_chain(n, k).value
             x = traces[:, k - 1]

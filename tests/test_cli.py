@@ -1,12 +1,15 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centrolab as cl
 from centrolab import io
-from centrolab.cli import main, parse_config_file
+from centrolab.cli import _COMMANDS, SETTINGS, _configure, main, parse_config_file
 
 
 def run(args) -> int:
@@ -229,3 +232,165 @@ class TestConfigFile:
             )
             == 0
         )
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["clt", "--n", "abc", "--f", "0,1"], id="clt-n-not-int"),
+            pytest.param(["spectrum", "--dist", "cauchy"], id="unknown-dist"),
+            pytest.param(["sample", "--bogus", "1"], id="unknown-flag"),
+            pytest.param([], id="no-command"),
+            pytest.param(["bogus"], id="unknown-command"),
+            pytest.param(["sample", "--n", "2", "--seed", "-1"], id="sample-negative-seed"),
+            pytest.param(["spectrum", "--n", "2", "--seed", "-1"], id="spectrum-negative-seed"),
+            pytest.param(
+                ["clt", "--n", "4", "--trials", "3", "--f", "0,1", "--seed", "-1"],
+                id="clt-negative-seed",
+            ),
+            pytest.param(["variance", "--f", "0,1", "--radius", "nan"], id="radius-nan"),
+            pytest.param(["variance", "--f", "0,1", "--radius", "inf"], id="radius-inf"),
+            pytest.param(["variance", "--f", "0,nan"], id="f-nan"),
+            pytest.param(["variance", "--f", "0,1", "--n", "5"], id="flag-not-read"),
+            pytest.param(["variance", "--f", "0,1", "--node", "12"], id="abbreviated-flag"),
+            pytest.param(["sample", "--n", "2", "--f", "0,0,0"], id="sample-f"),
+        ],
+    )
+    def test_exits_1_without_output(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"n = 4\ndist = gau\xdfian\n", id="not-utf8"),
+            pytest.param(b"seed = -1\n", id="negative-seed"),
+            pytest.param(b"radius = nan\n", id="key-of-another-command"),
+            pytest.param(b"out = a\x00b\n", id="nul-in-out"),
+        ],
+    )
+    def test_bad_config_file_exits_1(self, content, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        assert run(["sample", "--config", cfg, "--n", 2, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0_and_lists_only_read_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["variance", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--nodes" in out and "--n " not in out and "--seed" not in out
+
+
+class TestSettingsTable:
+    def test_commands_reject_keys_they_do_not_read(self):
+        assert sum(len(keys) for _, keys in _COMMANDS.values()) == 33
+        for name, (_, keys) in _COMMANDS.items():
+            for key in set(SETTINGS) - set(keys):
+                with pytest.raises(cl.ConfigError, match="unrecognized"):
+                    _configure([name, f"--{key}", "2"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "3"],
+            ["spectrum", "--n", "4"],
+            ["clt", "--n", "4", "--trials", "3", "--f", "0,1"],
+            ["moments", "--n", "4", "--trials", "3", "--kmax", "2"],
+            ["oracle", "--n", "2", "--kmax", "2"],
+            ["variance", "--f", "0,1", "--nodes", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_key_a_command_takes_is_read(self, argv, tmp_path, capsys):
+        handler, cfg = _configure(argv + ["--out", str(tmp_path)])
+        read = set()
+
+        class Recording(SimpleNamespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        assert handler(Recording(**vars(cfg))) == 0
+        assert set(vars(cfg)) <= read
+
+    def test_defaults_pass_their_checks(self):
+        for setting in SETTINGS.values():
+            assert setting.default is None or setting.check(setting.default)
+
+    def test_oracle_list_flags_match_config_file(self, tmp_path):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("n_list = 2,3\nk_list = 2,4\nl_list = 2\n")
+        assert run(["oracle", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        argv = ["oracle", "--n_list", "2,3", "--k_list", "2,4", "--l_list", "2"]
+        assert run(argv + ["--out", tmp_path / "b"]) == 0
+        a, b = ((tmp_path / d / "oracle_table.csv").read_bytes() for d in "ab")
+        assert a == b
+
+    def test_config_file_may_hold_other_commands_keys(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n = 3\nseed = 2\nradius = 2.0\nf = 0,1\nbudget = 10\n")
+        assert run(["sample", "--config", cfg, "--out", tmp_path]) == 0
+        assert (tmp_path / "matrix_n3_gaussian_seed2.csv").exists()
+
+
+def _is_checked(key, value) -> bool:
+    """Unset (None, the command picks its default) or a value that passes its check."""
+    return value is None or SETTINGS[key].check(value)
+
+
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-2, 3000).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["gaussian", "uniform", "", "0,1", "1,0,2", "0,0", "nan"]),
+    st.lists(st.integers(-1, 9), max_size=4).map(lambda v: ",".join(map(str, v))),
+)
+_CONFIG_BYTES = st.binary(max_size=40) | st.one_of(
+    st.text(max_size=40),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(SETTINGS)) | st.text(max_size=6), _VALUES), max_size=6
+    ).map(lambda rows: "".join(f"{key} = {value}\n" for key, value in rows)),
+).map(str.encode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_CONFIG_BYTES)
+def test_fuzz_config_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        values = parse_config_file(path)
+    except cl.ConfigError:
+        return
+    assert all(key in SETTINGS and _is_checked(key, v) for key, v in values.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+def test_fuzz_config_assembly(tmp_path_factory, command, data):
+    # flags the command reads, other commands' flags and unknown ones; never
+    # --help, which exits, or --config with a drawn path, which could name any file
+    own = st.sampled_from(_COMMANDS[command][1])
+    names = own | st.sampled_from(sorted(SETTINGS)) | st.text(max_size=6).filter(
+        lambda s: s.split("=")[0] not in ("help", "config")
+    )
+    flags = data.draw(st.lists(st.tuples(own | names, _VALUES), max_size=4))
+    argv = [command] + [arg for name, value in flags for arg in (f"--{name}", value)]
+    config = data.draw(st.none() | _CONFIG_BYTES)
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-assembly.cfg"
+        path.write_bytes(config)
+        argv += ["--config", str(path)]
+    try:
+        _, cfg = _configure(argv)
+    except cl.ConfigError:
+        return
+    assert set(vars(cfg)) == set(_COMMANDS[command][1])
+    assert all(_is_checked(key, value) for key, value in vars(cfg).items())

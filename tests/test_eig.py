@@ -139,7 +139,7 @@ class TestTracePowers:
 
     def test_batch_matches_loop(self):
         stack = cl.sample_centro_batch(4, 10, "gaussian", 3)
-        batch = cl.trace_powers_batch(stack, 3)
+        batch = cl.trace_powers(stack, 3)
         for t in range(10):
             assert np.allclose(batch[t], cl.trace_powers(stack[t], 3), rtol=1e-13)
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 import centrolab as cl
 from centrolab.fluctuation import _splitmix64, _stack_traces, _trial_traces
+
+SRC = Path(cl.__file__).resolve().parents[1]
 
 
 class TestLesPolynomial:
@@ -115,6 +121,43 @@ class TestKsStatistic:
     def test_too_few_samples_rejected(self):
         with pytest.raises(cl.DiagnosticError):
             cl.ks_statistic(np.array([1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([-1.0, 0.0, 2.5]),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    def test_matches_scipy_kstest(self, x):
+        # the sampled_from branch makes ties common
+        from scipy import stats
+
+        x = np.array(x)
+        sd = x.std(ddof=1)
+        assume(sd > 0.0)
+        expected = stats.kstest((x - x.mean()) / sd, "norm").statistic
+        assert cl.ks_statistic(x) == pytest.approx(expected, abs=1e-14)
+
+    def test_ties_match_scipy_kstest(self):
+        from scipy import stats
+
+        x = np.repeat(np.random.default_rng(3).standard_normal(40).round(1), 5)
+        expected = stats.kstest((x - x.mean()) / x.std(ddof=1), "norm").statistic
+        assert cl.ks_statistic(x) == pytest.approx(expected, abs=1e-14)
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, centrolab; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestTrialSeeds:

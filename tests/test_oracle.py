@@ -69,7 +69,7 @@ class TestSingleChain:
 
     def test_monte_carlo_corroboration(self):
         stack = cl.sample_centro_batch(3, 100_000, "gaussian", 314)
-        traces = cl.trace_powers_batch(stack, 4)
+        traces = cl.trace_powers(stack, 4)
         for k in (2, 3, 4):
             x = traces[:, k - 1]
             se = x.std(ddof=1) / np.sqrt(x.size)
