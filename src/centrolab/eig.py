@@ -4,6 +4,12 @@ Eigenvalues come from the classical dense pipeline: diagonal balancing,
 Householder reduction to Hessenberg form, then implicit double-shift
 (Francis) QR with deflation.  Complex conjugate pairs emerge from real
 2x2 blocks, so the iteration itself never touches complex arithmetic.
+Each bulge-chase step applies its 3-element Householder reflector in
+(v, tau) form, in place on the rows and columns it touches, without
+forming the reflector matrix.  ``eigenvalues`` is a general dense
+solver: it does not look for centrosymmetry.  ``centrolab spectrum``
+solves the two Weaver blocks with it, while tests compare that against
+the full-matrix solve as an independent route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
@@ -38,6 +44,11 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _DEFLATE = 8.0 * _EPS  # subdiagonal negligibility threshold
 _EXCEPTIONAL_EVERY = 10  # stalled sweeps between ad-hoc shifts
+# range of the largest balanced entry that the QR sweeps take unscaled:
+# products of two entries neither overflow nor underflow there (2**-459
+# and 2**459, LAPACK xGEEV's thresholds)
+_SAFE_MIN = math.sqrt(np.finfo(float).tiny) / _EPS
+_SAFE_MAX = 1.0 / _SAFE_MIN
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,11 @@ def balance(mat) -> np.ndarray:
     while not done:
         done = True
         for i in range(n):
-            r = float(np.sum(np.abs(a[i, :]))) - abs(a[i, i])
-            c = float(np.sum(np.abs(a[:, i]))) - abs(a[i, i])
+            row = np.abs(a[i, :])
+            col = np.abs(a[:, i])
+            row[i] = col[i] = 0.0  # subtracting |a_ii| from the sums would cancel tiny ones
+            r = float(np.sum(row))
+            c = float(np.sum(col))
             if r == 0.0 or c == 0.0:
                 continue
             s = c + r
@@ -136,21 +150,23 @@ def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
     return complex(half, root), complex(half, -root)
 
 
-def _reflector(col: np.ndarray) -> np.ndarray | None:
-    """Small Householder matrix mapping ``col`` onto +/- e1, or None if trivial."""
-    scale = float(np.max(np.abs(col)))
-    if scale == 0.0:
+def _householder(x: float, y: float, z: float | None = None):
+    """Householder reflector ``I - tau v v^T`` mapping (x, y[, z]) onto +/- e1.
+
+    Returns ``(v, tau * v)``, each of length 2 or 3, or None when the
+    column is zero.  ``v[0] = 1`` and ``|v[i]| <= 1``, so nothing
+    overflows.  Rows are reflected in place by
+    ``rows -= tv[:, None] * (v @ rows)``, columns by
+    ``cols -= (cols @ v)[:, None] * tv``.
+    """
+    beta = math.hypot(x, y) if z is None else math.hypot(x, y, z)
+    if beta == 0.0:
         return None
-    v = col / scale
-    alpha = float(np.linalg.norm(v))
-    if v[0] > 0:
-        alpha = -alpha
-    v = v.copy()
-    v[0] -= alpha
-    vnorm2 = float(v @ v)
-    if vnorm2 == 0.0:
-        return None
-    return np.eye(col.size) - np.outer((2.0 / vnorm2) * v, v)
+    if x > 0:
+        beta = -beta
+    d = x - beta  # |d| = |x| + |beta|: no cancellation
+    v = np.array((1.0, y / d) if z is None else (1.0, y / d, z / d))
+    return v, (-d / beta) * v
 
 
 def _peel_blocks(h: np.ndarray, hi: int, values: np.ndarray) -> None:
@@ -171,8 +187,15 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
     """Full eigenvalue multiset of a real square matrix.
 
     Pipeline: ``balance`` -> ``hessenberg`` -> implicit double-shift QR
-    with deflation.  A subdiagonal entry h[i+1, i] is treated as zero
-    when ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
+    with deflation.  A balanced matrix whose largest entry lies outside
+    [2**-459, 2**459] is scaled by an exact power of two before the
+    Hessenberg reduction and its eigenvalues are scaled back, so entries
+    near the overflow or underflow limit neither overflow nor stall the
+    sweeps; any other input is solved exactly as it is.  Scaling after
+    balancing keeps the small entries of graded matrices, which scaling
+    the raw input by its largest entry would flush to zero.  A
+    subdiagonal entry h[i+1, i] is treated as zero when
+    ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
     exceptional shift is used every 10 stalled sweeps.  ``max_sweeps``
     caps the total sweep count (default ``30 * n``); on exhaustion the
     result is flagged ``converged=False`` with best-effort values.
@@ -187,7 +210,10 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
     if n == 1:
         values[0] = a[0, 0]
         return Spectrum(values=values, iterations=0, converged=True)
-    h = hessenberg(balance(a))
+    b = balance(a)
+    amax = float(np.max(np.abs(b), initial=0.0))
+    exp = math.frexp(amax)[1] if amax > _SAFE_MAX or 0.0 < amax < _SAFE_MIN else 0
+    h = hessenberg(np.ldexp(b, -exp) if exp else b)
 
     hi = n - 1
     sweeps = 0
@@ -243,21 +269,28 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
         z = h[lo + 1, lo] * h[lo + 2, lo + 1]
 
         for k in range(lo, hi - 1):
-            p = _reflector(np.array([x, y, z]))
-            if p is not None:
-                r0 = max(lo, k - 1)
-                h[k : k + 3, r0 : hi + 1] = p @ h[k : k + 3, r0 : hi + 1]
-                r1 = min(k + 4, hi + 1)
-                h[lo:r1, k : k + 3] = h[lo:r1, k : k + 3] @ p
+            refl = _householder(x, y, z)
+            if refl is not None:
+                v, tv = refl
+                rows = h[k : k + 3, max(lo, k - 1) : hi + 1]
+                rows -= tv[:, None] * (v @ rows)
+                cols = h[lo : min(k + 4, hi + 1), k : k + 3]
+                cols -= (cols @ v)[:, None] * tv
             x = h[k + 1, k]
             y = h[k + 2, k]
             z = h[k + 3, k] if k < hi - 2 else 0.0
-        p = _reflector(np.array([x, y]))
-        if p is not None:
+        refl = _householder(x, y)
+        if refl is not None:
+            v, tv = refl
             k = hi - 1
-            h[k : k + 2, k - 1 : hi + 1] = p @ h[k : k + 2, k - 1 : hi + 1]
-            h[lo : hi + 1, k : k + 2] = h[lo : hi + 1, k : k + 2] @ p
+            rows = h[k : k + 2, k - 1 : hi + 1]
+            rows -= tv[:, None] * (v @ rows)
+            cols = h[lo : hi + 1, k : k + 2]
+            cols -= (cols @ v)[:, None] * tv
 
+    if exp:
+        values.real = np.ldexp(values.real, exp)
+        values.imag = np.ldexp(values.imag, exp)
     return Spectrum(values=values, iterations=sweeps, converged=converged)
 
 

@@ -8,12 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
-from centrolab import io
-from centrolab.cli import _COMMANDS, SETTINGS, _configure, main, parse_config_file
+from centrolab import cli, io
+from centrolab.cli import EXIT_SOLVER, _COMMANDS, SETTINGS, _configure, main, parse_config_file
+
+from _helpers import multiset_gap
 
 
 def run(args) -> int:
     return main([str(a) for a in args])
+
+
+def read_spectrum(path) -> np.ndarray:
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return np.array([complex(float(re), float(im)) for re, im in rows])
 
 
 class TestSample:
@@ -57,6 +64,45 @@ class TestSpectrum:
         payload = json.loads((tmp_path / "radial_n30_gaussian_seed4.json").read_text())
         assert payload["converged"] is True
         assert list(payload["radial_cdf"]) == ["0.25", "0.5", "0.75", "1.0", "1.05"]
+
+    def test_trace_residuals_are_small(self, tmp_path):
+        assert run(["spectrum", "--n", 30, "--seed", 4, "--out", tmp_path]) == 0
+        payload = json.loads((tmp_path / "radial_n30_gaussian_seed4.json").read_text())
+        residuals = payload["trace_residuals"]
+        assert list(residuals) == ["1", "2", "3"]
+        assert all(0.0 <= r < 1e-8 * 30 for r in residuals.values())
+
+    def test_rows_list_plus_block_then_minus_block(self, tmp_path):
+        assert run(["spectrum", "--n", 9, "--seed", 2, "--out", tmp_path]) == 0
+        blocks = cl.weaver_blocks(cl.sample_centro(9, "gaussian", 2))
+        expected = np.concatenate(
+            [cl.eigenvalues(blocks.plus).values, cl.eigenvalues(blocks.minus).values]
+        )
+        assert np.array_equal(read_spectrum(tmp_path / "spectrum_n9_gaussian_seed2.csv"), expected)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("n", [*range(1, 13), 31])
+    def test_block_route_matches_full_solve(self, n, dist, tmp_path):
+        assert run(["spectrum", "--n", n, "--dist", dist, "--seed", n, "--out", tmp_path]) == 0
+        got = read_spectrum(tmp_path / f"spectrum_n{n}_{dist}_seed{n}.csv")
+        full = cl.eigenvalues(cl.sample_centro(n, dist, n).entries)
+        assert got.size == n
+        assert multiset_gap(got, full.values) < 1e-10
+
+    def test_unconverged_block_exits_3_with_full_output(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def minus_block_stalls(mat):
+            calls.append(mat.shape[0])
+            return cl.eigenvalues(mat, max_sweeps=0 if len(calls) == 2 else None)
+
+        monkeypatch.setattr(cli, "eigenvalues", minus_block_stalls)
+        assert main(["spectrum", "--n", "12", "--seed", "3", "--out", str(tmp_path)]) == EXIT_SOLVER
+        assert calls == [6, 6]
+        assert capsys.readouterr().err.startswith("solver error:")
+        payload = json.loads((tmp_path / "radial_n12_gaussian_seed3.json").read_text())
+        assert payload["converged"] is False
+        assert read_spectrum(tmp_path / "spectrum_n12_gaussian_seed3.csv").size == 12
 
 
 class TestClt:

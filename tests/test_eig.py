@@ -81,6 +81,34 @@ class TestSolverContracts:
         assert s.values.shape == (5,)
 
 
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.0, 1e200], [1e200, 0.0]]),
+            np.array([[0.0, 1e160], [-1e160, 0.0]]),
+            np.array([[0.0, 1e-200], [1e-200, 0.0]]),
+            3e155 * cl.sample_centro(6, "gaussian", 1).entries,
+            1e-170 * cl.sample_centro(6, "gaussian", 1).entries,
+        ],
+        ids=["overflow-real", "overflow-complex", "underflow", "huge-centro", "tiny-centro"],
+    )
+    def test_matches_numpy(self, a):
+        s = cl.eigenvalues(a)
+        ref = np.linalg.eigvals(a)
+        assert s.converged
+        assert multiset_gap(s.values, ref) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("power", [600, -600, 300, -300])
+    def test_power_of_two_scaling_is_exact(self, power):
+        a = cl.sample_centro(9, "gaussian", 4).entries
+        base = cl.eigenvalues(a)
+        scaled = cl.eigenvalues(np.ldexp(a, power))
+        assert scaled.iterations == base.iterations
+        assert np.array_equal(scaled.values, np.ldexp(base.values.real, power)
+                              + 1j * np.ldexp(base.values.imag, power))
+
+
 class TestHessenbergAndBalance:
     def test_hessenberg_structure(self):
         a = np.random.default_rng(0).standard_normal((8, 8))
@@ -103,6 +131,36 @@ class TestHessenbergAndBalance:
         b = cl.balance(a)
         assert np.array_equal(np.diag(b), np.diag(a))
         assert multiset_gap(np.linalg.eigvals(a), np.linalg.eigvals(b)) < 1e-8
+
+    @staticmethod
+    def _graded(core, exponents):
+        """``D core D^-1`` with ``D = diag(10**exponents)``: the spectrum of ``core``."""
+        d = 10.0 ** np.asarray(exponents, dtype=float)
+        return d[:, None] * core / d[None, :]
+
+    @pytest.mark.parametrize(
+        "core, exponents",
+        [
+            (np.array([[1.0, 1.0], [1.0, 2.0]]), [150, -150]),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), [150, -150]),
+            (np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]]), [-150, 150, -150]),
+            (np.random.default_rng(6).standard_normal((40, 40)), np.linspace(-150, 150, 40)),
+        ],
+        ids=["2x2", "2x2-zero-diagonal", "3x3", "graded-40"],
+    )
+    def test_balance_undoes_extreme_grading(self, core, exponents):
+        # LAPACK is the reference on ``core``: on the graded matrix itself it
+        # scales by max|a| before balancing, which flushes the 1e-300 entries
+        a = self._graded(core, exponents)
+        assert np.max(np.abs(a)) > 1e100
+        b = cl.balance(a)
+        assert np.all(np.isfinite(b))
+        assert np.array_equal(np.diag(b), np.diag(a))
+        assert np.max(np.abs(b)) < 1e3 * np.max(np.abs(core))
+        ref = np.linalg.eigvals(core)
+        tol = 1e-10 * np.max(np.abs(ref))
+        assert multiset_gap(np.linalg.eigvals(b), ref) <= tol
+        assert multiset_gap(cl.eigenvalues(a).values, ref) <= tol
 
 
 class TestTracePowers:
