@@ -113,17 +113,27 @@ def balance(mat) -> np.ndarray:
 
 
 def hessenberg(mat) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder orthogonal similarity."""
+    """Reduce to upper Hessenberg form by Householder orthogonal similarity.
+
+    Each column is scaled by the power of two ``2**-e`` with ``e`` the
+    ``frexp`` exponent of its largest entry before its reflector is
+    formed, so squaring it neither overflows nor underflows; the
+    reflector does not depend on the column's scale, and only ``alpha``
+    is scaled back.  Scaling by a power of two is exact, so wherever no
+    intermediate value leaves the normal range the result is bitwise
+    what the unscaled reduction gives.
+    """
     h = np.array(_as_array(mat), dtype=float)
     n = h.shape[0]
     for k in range(n - 2):
-        x = h[k + 1 :, k]
-        alpha = float(np.linalg.norm(x))
-        if alpha == 0.0:
+        big = float(np.max(np.abs(h[k + 1 :, k])))
+        if big == 0.0:
             continue
-        if x[0] > 0:
+        exp = math.frexp(big)[1]
+        v = np.ldexp(h[k + 1 :, k], -exp)
+        alpha = float(np.linalg.norm(v))
+        if v[0] > 0:
             alpha = -alpha
-        v = x.copy()
         v[0] -= alpha
         vnorm2 = float(v @ v)
         if vnorm2 == 0.0:
@@ -132,7 +142,7 @@ def hessenberg(mat) -> np.ndarray:
         h[k + 1 :, k:] -= np.outer(w * v, v @ h[k + 1 :, k:])
         h[:, k + 1 :] -= np.outer(h[:, k + 1 :] @ v, w * v)
         h[k + 2 :, k] = 0.0
-        h[k + 1, k] = alpha
+        h[k + 1, k] = math.ldexp(alpha, exp)
     return h
 
 

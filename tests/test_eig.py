@@ -124,6 +124,39 @@ class TestHessenbergAndBalance:
         a = np.random.default_rng(2).standard_normal((9, 9))
         assert multiset_gap(np.linalg.eigvals(a), np.linalg.eigvals(cl.hessenberg(a))) < 1e-10
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_hessenberg_power_of_two_scaling_is_exact(self, power):
+        a = np.random.default_rng(3).standard_normal((7, 7))
+        scaled = cl.hessenberg(np.ldexp(a, power))
+        assert np.array_equal(scaled, np.ldexp(cl.hessenberg(a), power))
+
+    def test_hessenberg_of_huge_entries(self):
+        # squaring a column of 1e200 entries overflowed to inf/nan
+        a = np.random.default_rng(4).standard_normal((3, 3))
+        h = cl.hessenberg(1e200 * a)
+        assert np.all(np.isfinite(h))
+        ref = cl.hessenberg(a)
+        assert np.max(np.abs(h / 1e200 - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 8, 31])
+    def test_hessenberg_ordinary_input_unchanged(self, n):
+        # the unscaled reduction, frozen: ordinary inputs stay bit for bit
+        a = cl.sample_centro(n, "gaussian", n).entries
+        ref = np.array(a, dtype=float)
+        for k in range(n - 2):
+            x = ref[k + 1 :, k]
+            alpha = float(np.linalg.norm(x))
+            if x[0] > 0:
+                alpha = -alpha
+            v = x.copy()
+            v[0] -= alpha
+            w = 2.0 / float(v @ v)
+            ref[k + 1 :, k:] -= np.outer(w * v, v @ ref[k + 1 :, k:])
+            ref[:, k + 1 :] -= np.outer(ref[:, k + 1 :] @ v, w * v)
+            ref[k + 2 :, k] = 0.0
+            ref[k + 1, k] = alpha
+        assert np.array_equal(cl.hessenberg(a), ref)
+
     def test_balance_preserves_diagonal_and_spectrum(self):
         a = np.random.default_rng(3).standard_normal((7, 7))
         a[0] *= 1e6

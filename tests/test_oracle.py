@@ -1,9 +1,13 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
+from centrolab import oracle
 
 
 class TestGaussianMoment:
@@ -155,3 +159,73 @@ def test_double_chain_symmetry_property(n, k, l):
     assert (
         cl.oracle_double_chain(n, k, l).value == cl.oracle_double_chain(n, l, k).value
     )
+
+
+def _brute_force(n: int, lengths: tuple[int, ...]) -> float:
+    """Independent reference: every index tuple, classes by ``entry_class``."""
+    cls = {(i, j): cl.entry_class(n, i, j) for i in range(n) for j in range(n)}
+    total = 0.0
+    for tup in itertools.product(range(n), repeat=sum(lengths)):
+        cells = []
+        off = 0
+        for length in lengths:
+            chain = tup[off : off + length]
+            cells += [cls[chain[t], chain[(t + 1) % length]] for t in range(length)]
+            off += length
+        term = 1.0
+        for mult in Counter(cells).values():
+            term *= cl.gaussian_moment(mult)
+        total += term
+    return total / float(n) ** (sum(lengths) / 2)
+
+
+class TestOrbitEnumeration:
+    def test_matches_brute_force_reference(self):
+        for n in range(1, 7):
+            for w in range(1, 7):
+                assert cl.oracle_single_chain(n, w).value == _brute_force(n, (w,))
+                for k in range(1, w):
+                    got = cl.oracle_double_chain(n, k, w - k).value
+                    assert got == _brute_force(n, (k, w - k)), (n, k, w - k)
+
+    @pytest.mark.parametrize("call", [(2, 18), (3, 6, 5)])
+    def test_blocks_stay_bounded(self, monkeypatch, call):
+        rows = []
+        block_sum = oracle._block_sum
+
+        def record(digits, weights, lengths, n):
+            rows.append(digits.shape[0])
+            return block_sum(digits, weights, lengths, n)
+
+        monkeypatch.setattr(oracle, "_block_sum", record)
+        if len(call) == 2:
+            cl.oracle_single_chain(*call)
+        else:
+            cl.oracle_double_chain(*call)
+        assert len(rows) > 1
+        assert max(rows) <= oracle._BLOCK
+
+    def test_convergence_table_calls_module_globals(self, monkeypatch):
+        # bench/tracing.py wraps the two chain functions where they live
+        seen = []
+        for name in ("oracle_single_chain", "oracle_double_chain"):
+            inner = getattr(oracle, name)
+
+            def wrapped(*args, _inner=inner, _name=name):
+                seen.append(_name)
+                return _inner(*args)
+
+            monkeypatch.setattr(oracle, name, wrapped)
+        cl.convergence_table([2], [2], [3])
+        assert seen == ["oracle_single_chain", "oracle_double_chain"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), w=st.integers(1, 8))
+def test_orbit_sizes_cover_every_tuple(n, w):
+    sizes = oracle._orbit_sizes(n, w)
+    covered = 0
+    for rows, used in oracle._representatives(n, w):
+        assert rows.shape[1] == w
+        covered += sum(sizes[u] for u in used.tolist())
+    assert covered == n**w
