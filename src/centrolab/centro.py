@@ -132,6 +132,19 @@ def _mirror(draws: np.ndarray, n: int) -> np.ndarray:
     return raw
 
 
+def _representative_rows(draws: np.ndarray, n: int):
+    """Representative rows of order-``n`` matrices from ``(s, class_count(n))`` class draws.
+
+    Returns views of ``draws``: the top ``n // 2`` rows, shape
+    ``(s, n // 2, n)``, and, for odd n, the middle row up to and
+    including the center, shape ``(s, n // 2 + 1)`` (else None), the
+    cells ``_mirror`` fills before reflecting them.
+    """
+    h = n // 2
+    top = draws[:, : h * n].reshape(len(draws), h, n)
+    return top, (draws[:, h * n :] if n % 2 else None)
+
+
 def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix:
     """Draw one matrix: one variate per entry class, mirrored, scaled by 1/sqrt(n).
 
@@ -192,33 +205,50 @@ class WeaverBlocks:
     minus: np.ndarray
 
 
+def _weaver_split(top: np.ndarray, middle: np.ndarray | None) -> WeaverBlocks:
+    """Weaver blocks of order-``n`` centrosymmetric matrices from their
+    representative rows.
+
+    ``top`` holds the top ``h = n // 2`` rows, shape ``(..., h, n)``; for
+    odd n, ``middle`` holds the middle row up to and including the
+    center, shape ``(..., h + 1)``, and is ignored for even n.  With
+    A and B the left and right h columns of ``top``, ``plus = A + B J``
+    and ``minus = A - B J``; the odd-n border of ``plus`` is
+    ``sqrt(2) u`` (column h of ``top``), ``sqrt(2) p^T`` (``middle``
+    before the center) and ``q`` (the center).
+    """
+    h = top.shape[-2]
+    A = top[..., :h]
+    bj = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
+    minus = A - bj
+    if top.shape[-1] % 2 == 0:
+        return WeaverBlocks(plus=A + bj, minus=minus)
+    plus = np.empty(top.shape[:-2] + (h + 1, h + 1))
+    plus[..., :h, :h] = A + bj
+    plus[..., :h, h] = math.sqrt(2.0) * top[..., h]
+    plus[..., h, :h] = math.sqrt(2.0) * middle[..., :h]
+    plus[..., h, h] = middle[..., h]
+    return WeaverBlocks(plus=plus, minus=minus)
+
+
 def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
     """Split a centrosymmetric matrix, or a ``(..., n, n)`` stack of them,
     into its two similarity blocks.
 
     Even n = 2m, with M = [[A, B], [C, D]] in m-by-m blocks:
-    ``plus = A + J C`` and ``minus = A - J C``.
+    ``plus = A + B J`` and ``minus = A - B J``.  Centrosymmetry gives
+    ``B J = J C``, so only the top rows of M are read.
 
     Odd n = 2m + 1, with center column top-half u, center row left-half
     p^T and center cell q:
-    ``plus = [[A + J C, sqrt(2) u], [sqrt(2) p^T, q]]``, ``minus = A - J C``.
+    ``plus = [[A + B J, sqrt(2) u], [sqrt(2) p^T, q]]``, ``minus = A - B J``.
     """
     a = m.entries if isinstance(m, CentroMatrix) else np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
     n = a.shape[-1]
     h = n // 2
-    A = a[..., :h, :h]
-    jc = a[..., n - h :, :h][..., ::-1, :]  # J @ C reverses the rows of C
-    minus = A - jc
-    if n % 2 == 0:
-        return WeaverBlocks(plus=A + jc, minus=minus)
-    plus = np.empty(a.shape[:-2] + (h + 1, h + 1))
-    plus[..., :h, :h] = A + jc
-    plus[..., :h, h] = math.sqrt(2.0) * a[..., :h, h]
-    plus[..., h, :h] = math.sqrt(2.0) * a[..., h, :h]
-    plus[..., h, h] = a[..., h, h]
-    return WeaverBlocks(plus=plus, minus=minus)
+    return _weaver_split(a[..., :h, :], a[..., h, : h + 1] if n % 2 else None)
 
 
 def weaver_orthogonal(n: int) -> np.ndarray:

@@ -74,7 +74,11 @@ SETTINGS = {
     "radius": Setting(float, 1.5, lambda v: 1.0 < v < math.inf, "contour radius, finite, > 1"),
     "nodes": Setting(int, 256, lambda v: v >= 2, "quadrature nodes, >= 2"),
     "threads": Setting(
-        int, None, lambda v: v >= 1, "worker threads, >= 1; default: CENTROLAB_THREADS, else 1"
+        int,
+        None,
+        lambda v: v >= 1,
+        "worker threads, >= 1, capped at one per CPU and per trial stack;"
+        " default: CENTROLAB_THREADS, else 1",
     ),
     "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
     "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),

@@ -10,9 +10,12 @@ The trace path is Weaver-first: a centrosymmetric M is orthogonally
 similar to ``diag(P, Q)`` with blocks of half order, so
 ``Tr M^k = Tr P^k + Tr Q^k``, and ``trace_powers`` evaluates each block
 from its half powers.  Tr M^1 is read off M's own diagonal.
-``run_clt``, ``moment_suite`` and ``les_polynomial`` share one trial
-loop that samples trials into stacks of about 1 MiB of entries and
-traces each stack at once.
+``run_clt`` and ``moment_suite`` share one trial loop that draws the
+class values of consecutive trials into one array per stack (the draws
+of about 1 MiB of matrix entries), builds P and Q straight from those
+rows with the same Weaver split ``weaver_blocks`` uses, and traces each
+stack at once; the mirrored matrix M is never formed.
+``les_polynomial`` traces one given matrix through ``weaver_blocks``.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -33,7 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centro import CentroMatrix, sample_centro, weaver_blocks
+from .centro import (
+    CentroMatrix,
+    WeaverBlocks,
+    _draw,
+    _representative_rows,
+    _weaver_split,
+    class_count,
+    weaver_blocks,
+)
 from .eig import Spectrum, trace_powers
 from .errors import ConfigError, DiagnosticError
 from .poly import Polynomial
@@ -83,29 +94,60 @@ def default_threads() -> int:
 
 
 def _ordered_map(work, count: int, threads: int | None) -> list:
-    """Apply ``work`` to 0..count-1, results in index order regardless of schedule."""
+    """Apply ``work`` to 0..count-1, results in index order regardless of schedule.
+
+    Runs on at most ``min(threads, count, os.cpu_count())`` workers: more
+    would only hold more stacks in memory at once, since results do not
+    depend on the worker count.
+    """
     threads = default_threads() if threads is None else max(1, threads)
-    if threads == 1:
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [work(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, range(count)))
 
 
 def _stack_size(n: int) -> int:
-    """Trials per stack: about 1 MiB (2**17 doubles) of matrix entries, at least one.
+    """Trials per stack: as many as fill about 1 MiB (2**17 doubles) of
+    matrix entries, at least one.
 
-    Stacks amortize per-call overhead at small orders; the size cap keeps
-    the extra memory of a stack and its powers small.
+    A stack holds only its trials' class draws, about half of that, and
+    its Weaver blocks.  Stacks amortize per-call overhead at small
+    orders; the size cap keeps the memory of a stack and its block
+    powers small.  The size, and so every stack boundary, depends only
+    on n.
     """
     return max(1, 2**17 // (n * n))
 
 
+def _block_traces(blocks: WeaverBlocks, trace1, k_max: int) -> np.ndarray:
+    """Tr M^1 .. M^k_max from M's Weaver blocks, with Tr M^1 given."""
+    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
+    traces[..., 0] = trace1
+    return traces
+
+
 def _stack_traces(stack: np.ndarray, k_max: int) -> np.ndarray:
     """Tr M^1 .. M^k_max of a ``(trials, n, n)`` stack through its Weaver blocks."""
-    blocks = weaver_blocks(stack)
-    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
-    traces[:, 0] = np.trace(stack, axis1=-2, axis2=-1)
-    return traces
+    return _block_traces(
+        weaver_blocks(stack), np.trace(stack, axis1=-2, axis2=-1), k_max
+    )
+
+
+def _draw_traces(draws: np.ndarray, n: int, k_max: int) -> np.ndarray:
+    """Tr M^1 .. M^k_max of the matrices whose scaled class draws are the rows
+    of ``draws``, without forming the matrices.
+
+    Tr M^1 sums M's diagonal in M's own order, ``diag(A)``, the center,
+    then ``diag(A)`` reversed, so it equals ``np.trace`` of M bitwise.
+    """
+    top, middle = _representative_rows(draws, n)
+    diag = np.diagonal(top, axis1=-2, axis2=-1)
+    parts = [diag, middle[:, -1:], diag[:, ::-1]] if n % 2 else [diag, diag[:, ::-1]]
+    return _block_traces(
+        _weaver_split(top, middle), np.concatenate(parts, axis=-1).sum(-1), k_max
+    )
 
 
 def _trial_traces(
@@ -113,20 +155,24 @@ def _trial_traces(
 ) -> np.ndarray:
     """Tr M^1 .. M^k_max of every trial's matrix, shape ``(trials, k_max)``.
 
-    Trial t samples its matrix from ``trial_seed(master_seed, t)``;
-    consecutive trials are traced together in stacks of ``_stack_size(n)``.
+    Trial t draws its class values from ``trial_seed(master_seed, t)``
+    exactly as ``sample_centro`` does; consecutive trials are drawn into
+    one array per stack of ``_stack_size(n)`` and traced together from
+    their Weaver blocks.
     """
+    if n < 1:
+        raise ValueError(f"matrix order must be positive, got {n}")
     size = _stack_size(n)
+    classes = class_count(n)
 
     def work(s: int) -> np.ndarray:
         first = s * size
-        stack = np.stack(
-            [
-                sample_centro(n, dist, trial_seed(master_seed, t)).entries
-                for t in range(first, min(first + size, trials))
-            ]
-        )
-        return _stack_traces(stack, k_max)
+        draws = np.empty((min(size, trials - first), classes))
+        for row, t in enumerate(range(first, first + len(draws))):
+            rng = np.random.Generator(np.random.PCG64(trial_seed(master_seed, t)))
+            draws[row] = _draw(rng, dist, classes)
+        draws /= math.sqrt(n)
+        return _draw_traces(draws, n, k_max)
 
     return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
 

@@ -245,6 +245,32 @@ class TestWeaver:
             assert np.array_equal(blocks.plus[t], one.plus)
             assert np.array_equal(blocks.minus[t], one.minus)
 
+    @pytest.mark.parametrize("dist", cl.DISTRIBUTIONS)
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_matches_lower_rows_reference(self, n, dist):
+        # reference: the split read from the bottom rows, A +- J C plus border
+        def reference(a):
+            h = n // 2
+            A = a[..., :h, :h]
+            jc = a[..., n - h :, :h][..., ::-1, :]
+            if n % 2 == 0:
+                return A + jc, A - jc
+            plus = np.empty(a.shape[:-2] + (h + 1, h + 1))
+            plus[..., :h, :h] = A + jc
+            plus[..., :h, h] = math.sqrt(2.0) * a[..., :h, h]
+            plus[..., h, :h] = math.sqrt(2.0) * a[..., h, :h]
+            plus[..., h, h] = a[..., h, h]
+            return plus, A - jc
+
+        for a in (
+            cl.sample_centro(n, dist, 300 + n).entries,
+            cl.sample_centro_batch(n, 5, dist, 400 + n),
+        ):
+            plus, minus = reference(a)
+            blocks = cl.weaver_blocks(a)
+            assert np.array_equal(blocks.plus, plus)
+            assert np.array_equal(blocks.minus, minus)
+
     def test_split_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             cl.weaver_blocks(np.zeros((3, 2, 3)))

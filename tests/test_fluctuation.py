@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
-from centrolab.fluctuation import _splitmix64, _stack_traces, _trial_traces
+from centrolab import centro, fluctuation
+from centrolab.fluctuation import (
+    _ordered_map,
+    _splitmix64,
+    _stack_traces,
+    _trial_traces,
+)
 
 SRC = Path(cl.__file__).resolve().parents[1]
 
@@ -67,13 +75,33 @@ class TestWeaverFirstTraces:
             expected = 0.5 * n + dense[1] + 4.0 * dense[4]
             assert cl.les_polynomial(m, f) == pytest.approx(expected, rel=1e-12)
 
-    def test_stacks_match_per_matrix_calls(self):
-        # order 40 stacks 81 trials, so 90 trials make a full and a partial stack
-        traces = _trial_traces(40, 90, 4, "gaussian", 8, 2)
-        assert traces.shape == (90, 4)
-        for t in (0, 80, 81, 89):
-            m = cl.sample_centro(40, "gaussian", cl.trial_seed(8, t))
-            assert np.array_equal(traces[t], _stack_traces(m.entries[None], 4)[0])
+    def test_stacks_match_per_matrix_calls(self, monkeypatch):
+        # size + 9 trials make a full and a partial stack (order 40 stacks 81
+        # trials); stacks are capped at 200 trials to keep small orders fast
+        stack_size = fluctuation._stack_size
+        monkeypatch.setattr(fluctuation, "_stack_size", lambda n: min(stack_size(n), 200))
+        for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
+            trials = fluctuation._stack_size(n) + 9
+            for dist in cl.DISTRIBUTIONS:
+                expected = np.array(
+                    [
+                        _stack_traces(
+                            cl.sample_centro(n, dist, cl.trial_seed(8, t)).entries[None], 4
+                        )[0]
+                        for t in range(trials)
+                    ]
+                )
+                for threads in (1, 2):
+                    traces = _trial_traces(n, trials, 4, dist, 8, threads)
+                    assert np.array_equal(traces, expected), (n, dist, threads)
+
+    def test_trial_loop_never_forms_the_matrix(self, monkeypatch):
+        def refuse(draws, n):
+            raise AssertionError("trial loop mirrored a full matrix")
+
+        monkeypatch.setattr(centro, "_mirror", refuse)
+        cl.moment_suite(7, 40, 4, "uniform", 3)
+        cl.run_clt(6, 40, cl.Polynomial([0, 0, 1]), "gaussian", 3, threads=2)
 
 
 class TestLesAnalytic:
@@ -158,6 +186,18 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_worker_pool_bounded_by_tasks_and_cpus():
+    used = set()
+
+    def work(t):
+        used.add(threading.get_ident())
+        time.sleep(0.005)
+        return t
+
+    assert _ordered_map(work, 32, 10**6) == list(range(32))
+    assert len(used) <= min(32, os.cpu_count() or 1)
 
 
 class TestTrialSeeds:
