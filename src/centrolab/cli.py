@@ -83,7 +83,7 @@ SETTINGS = {
     "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
     "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),
     "l_list": Setting(_list(int), None, _positive_entries, "double-chain powers l1,... >= 1"),
-    "budget": Setting(int, DEFAULT_TERM_BUDGET, lambda v: v >= 1, "enumeration term budget, >= 1"),
+    "budget": Setting(int, DEFAULT_TERM_BUDGET, lambda v: v >= 1, "orbit representatives per grid point, >= 1"),
     "out": Setting(str, ".", lambda v: "\0" not in v, "output directory"),
 }
 
@@ -157,6 +157,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         values=np.concatenate([plus.values, minus.values]),
         iterations=plus.iterations + minus.iterations,
         converged=plus.converged and minus.converged,
+        exceptional_shifts=plus.exceptional_shifts + minus.exceptional_shifts,
     )
     out = _out_dir(cfg)
     csv_path = io.write_spectrum_csv(
@@ -169,6 +170,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         "seed": cfg.seed,
         "converged": spec.converged,
         "iterations": spec.iterations,
+        "exceptional_shifts": spec.exceptional_shifts,
         "radial_cdf": {str(r): float(c) for r, c in zip(RADIAL_GRID, cdf)},
         # two-route check on the full matrix, independent of the split
         "trace_residuals": {

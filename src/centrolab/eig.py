@@ -4,12 +4,13 @@ Eigenvalues come from the classical dense pipeline: diagonal balancing,
 Householder reduction to Hessenberg form, then implicit double-shift
 (Francis) QR with deflation.  Complex conjugate pairs emerge from real
 2x2 blocks, so the iteration itself never touches complex arithmetic.
-Each bulge-chase step applies its 3-element Householder reflector in
-(v, tau) form, in place on the rows and columns it touches, without
-forming the reflector matrix.  ``eigenvalues`` is a general dense
-solver: it does not look for centrosymmetry.  ``centrolab spectrum``
-solves the two Weaver blocks with it, while tests compare that against
-the full-matrix solve as an independent route.
+Each bulge-chase step forms its symmetric 3x3 Householder reflector
+from Python floats and applies it with one in-place matrix product per
+side, to the three rows and then the three columns it touches.
+``eigenvalues`` is a general dense solver: it does not look for
+centrosymmetry.  ``centrolab spectrum`` solves the two Weaver blocks
+with it, while tests compare that against the full-matrix solve as an
+independent route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
@@ -56,7 +57,8 @@ class Spectrum:
     """Eigenvalue multiset plus solver diagnostics.
 
     ``values`` holds all n eigenvalues (complex entries in conjugate
-    pairs); ``iterations`` counts QR sweeps; ``converged`` is False only
+    pairs); ``iterations`` counts QR sweeps, ``exceptional_shifts`` the
+    sweeps among them that took an ad-hoc shift; ``converged`` is False only
     when some block failed to deflate within the sweep budget, in which
     case ``values`` still has length n but carries best-effort entries
     for the unconverged window.
@@ -65,6 +67,7 @@ class Spectrum:
     values: np.ndarray
     iterations: int
     converged: bool
+    exceptional_shifts: int = 0
 
 
 def _as_array(mat) -> np.ndarray:
@@ -161,13 +164,14 @@ def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
 
 
 def _householder(x: float, y: float, z: float | None = None):
-    """Householder reflector ``I - tau v v^T`` mapping (x, y[, z]) onto +/- e1.
+    """Symmetric reflector ``R = I - tau v v^T`` mapping (x, y[, z]) onto +/- e1.
 
-    Returns ``(v, tau * v)``, each of length 2 or 3, or None when the
-    column is zero.  ``v[0] = 1`` and ``|v[i]| <= 1``, so nothing
-    overflows.  Rows are reflected in place by
-    ``rows -= tv[:, None] * (v @ rows)``, columns by
-    ``cols -= (cols @ v)[:, None] * tv``.
+    Returns R as a 3x3 array (2x2 without z), or None when the column
+    is zero.  The scalars are LAPACK ``dlarfg``'s: ``v[0] = 1``
+    and ``|v[i]| <= 1``, so nothing overflows, and every entry of R is
+    computed in Python floats and packed by one ``np.array`` call.
+    Rows are reflected in place by ``rows[...] = r @ rows``, columns by
+    ``cols[...] = cols @ r``: one numpy product per side.
     """
     beta = math.hypot(x, y) if z is None else math.hypot(x, y, z)
     if beta == 0.0:
@@ -175,8 +179,17 @@ def _householder(x: float, y: float, z: float | None = None):
     if x > 0:
         beta = -beta
     d = x - beta  # |d| = |x| + |beta|: no cancellation
-    v = np.array((1.0, y / d) if z is None else (1.0, y / d, z / d))
-    return v, (-d / beta) * v
+    tau = -d / beta
+    v1 = y / d
+    t1 = tau * v1
+    if z is None:
+        return np.array((1.0 - tau, -t1, -t1, 1.0 - t1 * v1)).reshape(2, 2)
+    v2 = z / d
+    t2 = tau * v2
+    t12 = t1 * v2
+    return np.array(
+        (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * v1, -t12, -t2, -t12, 1.0 - t2 * v2)
+    ).reshape(3, 3)
 
 
 def _peel_blocks(h: np.ndarray, hi: int, values: np.ndarray) -> None:
@@ -206,9 +219,10 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
     the raw input by its largest entry would flush to zero.  A
     subdiagonal entry h[i+1, i] is treated as zero when
     ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
-    exceptional shift is used every 10 stalled sweeps.  ``max_sweeps``
-    caps the total sweep count (default ``30 * n``); on exhaustion the
-    result is flagged ``converged=False`` with best-effort values.
+    exceptional shift is used every 10 stalled sweeps and counted in
+    ``exceptional_shifts``.  ``max_sweeps`` caps the total sweep count
+    (default ``30 * n``); on exhaustion the result is flagged
+    ``converged=False`` with best-effort values.
     """
     a = _as_array(mat)
     if not np.all(np.isfinite(a)):
@@ -228,6 +242,7 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
     hi = n - 1
     sweeps = 0
     stall = 0
+    exceptional = 0
     converged = True
     while hi >= 0:
         # search upward for a negligible subdiagonal bounding the active block
@@ -259,6 +274,7 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
         stall += 1
         if stall % _EXCEPTIONAL_EVERY == 0:
             # ad-hoc shift built from the stalled subdiagonal magnitudes
+            exceptional += 1
             mag = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
             shift_sum = 1.5 * mag
             shift_prod = -0.4375 * mag * mag
@@ -279,29 +295,32 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
         z = h[lo + 1, lo] * h[lo + 2, lo + 1]
 
         for k in range(lo, hi - 1):
-            refl = _householder(x, y, z)
-            if refl is not None:
-                v, tv = refl
+            r = _householder(x, y, z)
+            if r is not None:
                 rows = h[k : k + 3, max(lo, k - 1) : hi + 1]
-                rows -= tv[:, None] * (v @ rows)
+                rows[...] = r @ rows
                 cols = h[lo : min(k + 4, hi + 1), k : k + 3]
-                cols -= (cols @ v)[:, None] * tv
-            x = h[k + 1, k]
-            y = h[k + 2, k]
-            z = h[k + 3, k] if k < hi - 2 else 0.0
-        refl = _householder(x, y)
-        if refl is not None:
-            v, tv = refl
+                cols[...] = cols @ r
+            x = h.item(k + 1, k)
+            y = h.item(k + 2, k)
+            z = h.item(k + 3, k) if k < hi - 2 else 0.0
+        r = _householder(x, y)
+        if r is not None:
             k = hi - 1
             rows = h[k : k + 2, k - 1 : hi + 1]
-            rows -= tv[:, None] * (v @ rows)
+            rows[...] = r @ rows
             cols = h[lo : hi + 1, k : k + 2]
-            cols -= (cols @ v)[:, None] * tv
+            cols[...] = cols @ r
 
     if exp:
         values.real = np.ldexp(values.real, exp)
         values.imag = np.ldexp(values.imag, exp)
-    return Spectrum(values=values, iterations=sweeps, converged=converged)
+    return Spectrum(
+        values=values,
+        iterations=sweeps,
+        converged=converged,
+        exceptional_shifts=exceptional,
+    )
 
 
 def trace_power(mat, k: int) -> float:

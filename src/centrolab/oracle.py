@@ -19,7 +19,9 @@ weights its term by the orbit size ``(h)_r * 2**r``, where ``r`` is the
 number of pairs the chain uses and ``(h)_r = h (h-1) ... (h-r+1)``.
 The orbit sizes add up to exactly ``n**w`` for chain width ``w``, which
 is asserted on every call; ``terms_enumerated`` still counts those
-``n**w`` index tuples.
+``n**w`` index tuples.  The ``budget`` caps the number of
+representatives, the work actually done; it is counted exactly, before
+any representative is generated, from the table that drives the walk.
 
 Representatives are generated depth-first in blocks of at most
 ``_BLOCK`` rows.  Every term and weight is a nonnegative integer, so
@@ -165,25 +167,42 @@ def _extend(
     return out, u + new
 
 
-def _representatives(n: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(rows, used)`` blocks of canonical orbit representatives.
+def _completions(n: int, width: int) -> list[list[int]]:
+    """Counts ``table[d][u]`` of representatives completing a depth-d prefix.
 
-    Each block holds at most ``_BLOCK`` rows of ``width`` indices and the
-    number of mirror pairs each row uses.  Prefixes are expanded
-    depth-first: consecutive prefixes are completed together while
-    their completions fit in one block, and a prefix with more
-    completions than that is split into its children first.
+    The prefix uses u mirror pairs.  Only reachable states are listed
+    (``u <= min(d, n // 2)``), as Python ints, so ``table[0][0]``, the
+    number of representatives of width ``width``, bounds every entry
+    and never wraps.
     """
     h, odd = divmod(n, 2)
-    r = np.arange(min(h, width) + 1)
-    # completions[d][u]: representatives extending a depth-d prefix using u pairs
-    completions = [np.ones(r.size, dtype=np.int64)]
-    for _ in range(width):
-        after = completions[-1]
-        here = (2 * r + odd) * after
-        here[:-1] += after[1:]
-        completions.append(here)
-    completions.reverse()
+    table = [[1] * (min(width, h) + 1)]
+    for depth in range(width - 1, -1, -1):
+        after = table[-1]
+        table.append(
+            [
+                (2 * u + odd) * after[u] + (after[u + 1] if u < h else 0)
+                for u in range(min(depth, h) + 1)
+            ]
+        )
+    table.reverse()
+    return table
+
+
+def _representatives(
+    n: int, table: list[list[int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(rows, used)`` blocks of canonical orbit representatives.
+
+    ``table`` is ``_completions(n, width)``.  Each block holds at most
+    ``_BLOCK`` rows of ``width`` indices and the number of mirror pairs
+    each row uses.  Prefixes are expanded depth-first: consecutive
+    prefixes are completed together while their completions fit in one
+    block, and a prefix with more completions than that is split into
+    its children first.
+    """
+    width = len(table) - 1
+    completions = [np.array(row, dtype=np.int64) for row in table]
 
     def walk(rows, used):
         count = completions[rows.shape[1]][used]
@@ -207,31 +226,30 @@ def _representatives(n: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarra
     yield from walk(np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64))
 
 
-def _enumerate(n: int, lengths: tuple[int, ...], terms: int) -> float:
+def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
+    """Unnormalized Wick sum over all ``n**w`` chains of the given lengths.
+
+    Raises BudgetExceededError before any work when the chains have more
+    than ``budget`` orbit representatives.
+    """
     width = sum(lengths)
+    table = _completions(n, width)
+    if table[0][0] > budget:
+        label = ", ".join(f"k={p}" for p in lengths)
+        raise BudgetExceededError(
+            f"enumeration for n={n}, {label} needs {table[0][0]} orbit "
+            f"representatives, exceeding the budget of {budget}"
+        )
     sizes = _orbit_sizes(n, width)
     weights = np.array(sizes, dtype=float)
     acc = _Kahan()
     covered = 0
-    for rows, used in _representatives(n, width):
+    for rows, used in _representatives(n, table):
         acc.add(_block_sum(rows, weights[used], lengths, n))
         counts = np.bincount(used, minlength=len(sizes))
         covered += sum(int(c) * size for c, size in zip(counts, sizes))
-    assert covered == terms, f"orbits cover {covered} of {terms} index tuples"
+    assert covered == n**width, f"orbits cover {covered} of {n**width} index tuples"
     return acc.total
-
-
-def _check_budget(n: int, powers: tuple[int, ...], budget: int) -> int:
-    terms = 1
-    for p in powers:
-        terms *= n**p
-    if terms > budget:
-        label = ", ".join(f"k={p}" for p in powers)
-        raise BudgetExceededError(
-            f"enumeration for n={n}, {label} needs {terms} terms, "
-            f"exceeding the budget of {budget}"
-        )
-    return terms
 
 
 def oracle_single_chain(
@@ -246,9 +264,8 @@ def oracle_single_chain(
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    terms = _check_budget(n, (k,), budget)
-    value = _enumerate(n, (k,), terms) / float(n) ** (k / 2)
-    return ChainExpectation(n=n, k=k, l=None, value=value, terms_enumerated=terms)
+    value = _enumerate(n, (k,), budget) / float(n) ** (k / 2)
+    return ChainExpectation(n=n, k=k, l=None, value=value, terms_enumerated=n**k)
 
 
 def oracle_double_chain(
@@ -261,9 +278,8 @@ def oracle_double_chain(
     """
     if n < 1 or k < 1 or l < 1:
         raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
-    terms = _check_budget(n, (k, l), budget)
-    value = _enumerate(n, (k, l), terms) / float(n) ** ((k + l) / 2)
-    return ChainExpectation(n=n, k=k, l=l, value=value, terms_enumerated=terms)
+    value = _enumerate(n, (k, l), budget) / float(n) ** ((k + l) / 2)
+    return ChainExpectation(n=n, k=k, l=l, value=value, terms_enumerated=n ** (k + l))
 
 
 def convergence_table(

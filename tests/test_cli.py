@@ -63,6 +63,10 @@ class TestSpectrum:
         assert len(lines) == 31
         payload = json.loads((tmp_path / "radial_n30_gaussian_seed4.json").read_text())
         assert payload["converged"] is True
+        blocks = cl.weaver_blocks(cl.sample_centro(30, "gaussian", 4))
+        assert payload["exceptional_shifts"] == sum(
+            cl.eigenvalues(b).exceptional_shifts for b in (blocks.plus, blocks.minus)
+        )
         assert list(payload["radial_cdf"]) == ["0.25", "0.5", "0.75", "1.0", "1.05"]
 
     def test_trace_residuals_are_small(self, tmp_path):
@@ -201,12 +205,18 @@ class TestOracle:
         for line in (tmp_path / "oracle_table.csv").read_text().splitlines()[1:]:
             assert line.split(",")[3] == "0"
 
+    def test_budget_counts_representatives_not_tuples(self, tmp_path):
+        # 10^10 index tuples, but only 257 orbit representatives to evaluate
+        assert run(["oracle", "--n_list", 100, "--k_list", 5, "--out", tmp_path]) == 0
+        rows = (tmp_path / "oracle_table.csv").read_text().splitlines()
+        assert rows[1] == "100,5,,0,10000000000"
+
     def test_budget_exceeded_names_tuple(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
-        cfg.write_text("n_list = 10\nk_list = 9\n")
+        cfg.write_text("n_list = 20\nk_list = 12\n")
         assert run(["oracle", "--config", cfg, "--out", tmp_path]) == 4
         err = capsys.readouterr().err
-        assert "n=10" in err and "k=9" in err
+        assert "n=20" in err and "k=12" in err
 
 
 class TestVariance:

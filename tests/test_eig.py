@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import centrolab as cl
+from centrolab.eig import _householder
 
 from _helpers import multiset_gap
+
+_EPS = np.finfo(float).eps
 
 
 class TestKnownSpectra:
@@ -107,6 +112,65 @@ class TestExtremeMagnitudes:
         assert scaled.iterations == base.iterations
         assert np.array_equal(scaled.values, np.ldexp(base.values.real, power)
                               + 1j * np.ldexp(base.values.imag, power))
+
+
+class TestHouseholder:
+    @pytest.mark.parametrize(
+        "col",
+        [
+            (3.0, 4.0),
+            (-3.0, 4.0),
+            (0.0, 2.5),
+            (7.0, 0.0),
+            (1e300, -1e300),
+            (-1e-300, 3e-300),
+            (1.0, -2.0, 2.0),
+            (-0.5, 1e-8, 3.0),
+            (0.0, 0.0, 5.0),
+            (-4.0, 0.0, 0.0),
+            (1e300, 1e300, -1e300),
+            (-2e-300, 1e-300, 1e-300),
+        ],
+    )
+    def test_symmetric_involution_mapping_onto_e1(self, col):
+        r = _householder(*col)
+        x = np.array(col)
+        norm = math.hypot(*col)
+        assert r.shape == (x.size, x.size)
+        assert np.array_equal(r, r.T)
+        assert np.max(np.abs(r @ r - np.eye(x.size))) <= 4 * _EPS
+        image = r @ x
+        assert abs(abs(image[0]) - norm) <= 4 * _EPS * norm
+        assert np.max(np.abs(image[1:])) <= 4 * _EPS * norm
+
+    def test_zero_column_has_no_reflector(self):
+        assert _householder(0.0, 0.0) is None
+        assert _householder(0.0, 0.0, 0.0) is None
+
+
+class TestStallsAndScale:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_cyclic_shift_needs_exceptional_shifts(self, n):
+        # standard Francis shifts stall on a cyclic permutation
+        a = np.roll(np.eye(n), 1, 0)
+        s = cl.eigenvalues(a)
+        assert s.converged
+        assert s.exceptional_shifts > 0
+        assert multiset_gap(s.values, np.linalg.eigvals(a)) < 1e-12
+
+    def test_ordinary_matrix_takes_no_exceptional_shift(self):
+        s = cl.eigenvalues(cl.sample_centro(30, "gaussian", 3).entries)
+        assert s.converged and s.exceptional_shifts == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_weaver_blocks_match_lapack_at_n200(self, seed):
+        m = cl.sample_centro(200, "gaussian", seed)
+        blocks = cl.weaver_blocks(m)
+        plus, minus = cl.eigenvalues(blocks.plus), cl.eigenvalues(blocks.minus)
+        assert plus.converged and minus.converged
+        ref = np.linalg.eigvals(m.entries)
+        got = np.concatenate([plus.values, minus.values])
+        assert multiset_gap(got, ref) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestHessenbergAndBalance:

@@ -61,7 +61,7 @@ class TestSingleChain:
 
     def test_budget_error_names_the_bound(self):
         with pytest.raises(cl.BudgetExceededError, match="100000000"):
-            cl.oracle_single_chain(10, 9)
+            cl.oracle_single_chain(20, 12)
         with pytest.raises(cl.BudgetExceededError, match="n=3, k=4"):
             cl.oracle_single_chain(3, 4, budget=10)
 
@@ -224,8 +224,11 @@ class TestOrbitEnumeration:
 @given(n=st.integers(1, 12), w=st.integers(1, 8))
 def test_orbit_sizes_cover_every_tuple(n, w):
     sizes = oracle._orbit_sizes(n, w)
-    covered = 0
-    for rows, used in oracle._representatives(n, w):
+    table = oracle._completions(n, w)
+    covered = visited = 0
+    for rows, used in oracle._representatives(n, table):
         assert rows.shape[1] == w
         covered += sum(sizes[u] for u in used.tolist())
+        visited += used.size
     assert covered == n**w
+    assert visited == table[0][0]  # the count the budget is checked against
