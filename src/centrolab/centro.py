@@ -100,15 +100,37 @@ def representative_mask(n: int) -> np.ndarray:
     return (i < ri) | ((i == ri) & (j <= rj))
 
 
-def _draw(rng: np.random.Generator, dist: str, size) -> np.ndarray:
-    if dist == "gaussian":
-        return rng.standard_normal(size)
-    if dist == "uniform":
-        # uniform(-sqrt(3), sqrt(3)) has mean 0 and variance 1
-        return rng.uniform(-_SQRT3, _SQRT3, size)
-    raise ConfigError(
-        f"unsupported entry distribution {dist!r}; expected one of {DISTRIBUTIONS}"
-    )
+def _check_dist(dist: str) -> None:
+    if dist not in DISTRIBUTIONS:
+        raise ConfigError(
+            f"unsupported entry distribution {dist!r}; expected one of {DISTRIBUTIONS}"
+        )
+
+
+def _draw(
+    rng: np.random.Generator, dist: str, out: np.ndarray, states=None
+) -> np.ndarray:
+    """Fill ``out`` in place with mean-0, variance-1 ``dist`` variates; return it.
+
+    Without ``states`` all of ``out`` continues ``rng``'s stream.  With
+    ``states``, row i of ``out`` is drawn right after ``rng``'s bit
+    generator is set to ``states[i]``, so every row is its own stream.
+    ``dist`` must be checked first; anything but "gaussian" draws
+    uniform(-sqrt(3), sqrt(3)) as ``u * 2 sqrt(3) - sqrt(3)`` over all of
+    ``out`` at once, bitwise what ``rng.uniform`` returns, since it
+    computes ``low + (high - low) * u`` and ``2 sqrt(3)`` is exact.
+    """
+    fill = rng.standard_normal if dist == "gaussian" else rng.random
+    if states is None:
+        fill(out=out)
+    else:
+        for row, state in zip(out, states):
+            rng.bit_generator.state = state
+            fill(out=row)
+    if dist != "gaussian":
+        out *= 2.0 * _SQRT3
+        out -= _SQRT3
+    return out
 
 
 def _mirror(draws: np.ndarray, n: int) -> np.ndarray:
@@ -154,12 +176,9 @@ def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
-    if dist not in DISTRIBUTIONS:
-        raise ConfigError(
-            f"unsupported entry distribution {dist!r}; expected one of {DISTRIBUTIONS}"
-        )
+    _check_dist(dist)
     rng = np.random.Generator(np.random.PCG64(seed))
-    entries = _mirror(_draw(rng, dist, class_count(n)), n)
+    entries = _mirror(_draw(rng, dist, np.empty(class_count(n))), n)
     entries.flags.writeable = False
     return CentroMatrix(n=n, entries=entries, seed=seed, dist=dist)
 
@@ -177,8 +196,9 @@ def sample_centro_batch(
         raise ValueError(f"matrix order must be positive, got {n}")
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
+    _check_dist(dist)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _mirror(_draw(rng, dist, (trials, class_count(n))), n)
+    return _mirror(_draw(rng, dist, np.empty((trials, class_count(n)))), n)
 
 
 def assert_centrosymmetric(mat: np.ndarray | CentroMatrix, tol: float = 0.0) -> bool:

@@ -24,6 +24,13 @@ the execution schedule and the worker count.  Stack boundaries depend
 only on the order and the trial count, and reductions run in
 trial-index order, so reports are bit-identical for a fixed master seed
 and any worker count.
+
+Trial t draws exactly what
+``sample_centro(n, dist, trial_seed(master_seed, t))`` draws, but the
+trial loop builds no PCG64 per trial: it hashes all of a call's trial
+seeds into their PCG64 states at once, replaying numpy's SeedSequence
+on arrays, and each stack sets one generator to each trial's state in
+turn.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 from .centro import (
     CentroMatrix,
     WeaverBlocks,
+    _check_dist,
     _draw,
     _representative_rows,
     _weaver_split,
@@ -63,10 +71,20 @@ __all__ = [
     "trial_seed",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """splitmix64 of a Python int, or of every element of a uint64 array
+    (whose arithmetic wraps modulo 2**64 by itself)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -82,6 +100,73 @@ def trial_seed(master_seed: int, trial: int) -> int:
     lie closer together than the trial count.
     """
     return _splitmix64((_splitmix64(master_seed & _MASK64) + trial) & _MASK64)
+
+
+def _trial_seeds(master_seed: int, trials: int) -> np.ndarray:
+    """``trial_seed(master_seed, t)`` for t = 0 .. trials-1 as a uint64 array."""
+    start = np.uint64(_splitmix64(master_seed & _MASK64))
+    return _splitmix64(np.arange(trials, dtype=np.uint64) + start)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every 64-bit seed
+    s in ``seeds``, as one ``(len(seeds), 4)`` uint64 array.
+
+    Replays numpy's SeedSequence on whole columns of uint32 words: the
+    pool of four words takes the seed's low and high words (a seed
+    below 2**32 is one word, and the pool pads it with ``hashmix(0)``,
+    the value the zero high word hashes to), every pool word is mixed
+    into every other, and eight output words are hashed out of the pool
+    in turn.  The hash constants advance the same way for every seed,
+    so they stay Python ints.  This pins numpy's SeedSequence and PCG64
+    seeding, which numpy keeps stream-stable across releases.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _HASH_MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    low, high = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    pool = [hashmix(w) for w in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    state = np.empty((len(seeds), 8), dtype=np.uint32)
+    hash_const = _HASH_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * _HASH_MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words) -> dict:
+    """``np.random.PCG64(s).state`` from ``s``'s four seed words (Python ints).
+
+    PCG64 seeds its 128-bit LCG with ``words[0:2]`` as the initial state
+    and ``words[2:4]`` as the stream: ``inc = 2 stream + 1`` and
+    ``state = (inc + initial) * MULT + inc`` modulo 2**128.
+    """
+    initial = (words[0] << 64) | words[1]
+    inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
+    state = ((initial + inc) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def default_threads() -> int:
@@ -158,19 +243,23 @@ def _trial_traces(
     Trial t draws its class values from ``trial_seed(master_seed, t)``
     exactly as ``sample_centro`` does; consecutive trials are drawn into
     one array per stack of ``_stack_size(n)`` and traced together from
-    their Weaver blocks.
+    their Weaver blocks.  ``dist`` is checked before any seed is hashed
+    or worker started.  The PCG64 states of all trials come from one
+    vectorized seed hash; each stack keeps one generator and sets it to
+    each of its trials' states before drawing that trial's row.
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
+    _check_dist(dist)
     size = _stack_size(n)
     classes = class_count(n)
+    words = _seed_words(_trial_seeds(master_seed, trials))
 
     def work(s: int) -> np.ndarray:
-        first = s * size
-        draws = np.empty((min(size, trials - first), classes))
-        for row, t in enumerate(range(first, first + len(draws))):
-            rng = np.random.Generator(np.random.PCG64(trial_seed(master_seed, t)))
-            draws[row] = _draw(rng, dist, classes)
+        stack = words[s * size : (s + 1) * size].tolist()
+        rng = np.random.Generator(np.random.PCG64(0))
+        draws = np.empty((len(stack), classes))
+        _draw(rng, dist, draws, map(_pcg64_state, stack))
         draws /= math.sqrt(n)
         return _draw_traces(draws, n, k_max)
 

@@ -28,7 +28,7 @@ def verdict(name: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def figure_report() -> cl.CltReport:
-    # shared by criteria 1 and 7: 750 draws at order 1000 (about two minutes)
+    # shared by criteria 1 and 7: 750 draws at order 1000 (about 25 s on 2 cores)
     return cl.run_clt(1000, 750, FIGURE_POLY, "gaussian", FIGURE_SEED)
 
 

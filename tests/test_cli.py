@@ -296,6 +296,14 @@ class TestBadInput:
         [
             pytest.param(["clt", "--n", "abc", "--f", "0,1"], id="clt-n-not-int"),
             pytest.param(["spectrum", "--dist", "cauchy"], id="unknown-dist"),
+            pytest.param(
+                ["clt", "--n", "4", "--trials", "3", "--f", "0,1", "--dist", "cauchy"],
+                id="clt-unknown-dist",
+            ),
+            pytest.param(
+                ["moments", "--n", "4", "--trials", "3", "--dist", "cauchy"],
+                id="moments-unknown-dist",
+            ),
             pytest.param(["sample", "--bogus", "1"], id="unknown-flag"),
             pytest.param([], id="no-command"),
             pytest.param(["bogus"], id="unknown-command"),

@@ -15,8 +15,11 @@ import centrolab as cl
 from centrolab import centro, fluctuation
 from centrolab.fluctuation import (
     _ordered_map,
+    _pcg64_state,
+    _seed_words,
     _splitmix64,
     _stack_traces,
+    _trial_seeds,
     _trial_traces,
 )
 
@@ -102,6 +105,31 @@ class TestWeaverFirstTraces:
         monkeypatch.setattr(centro, "_mirror", refuse)
         cl.moment_suite(7, 40, 4, "uniform", 3)
         cl.run_clt(6, 40, cl.Polynomial([0, 0, 1]), "gaussian", 3, threads=2)
+
+    def test_trial_loop_builds_at_most_one_generator_per_stack(self, monkeypatch):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        cl.moment_suite(9, 200, 4, "uniform", 3)
+        stacks = -(-200 // fluctuation._stack_size(9))
+        assert 1 <= len(built) <= stacks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unknown_dist_rejected_before_seeding(self, monkeypatch, threads):
+        def refuse(*args):
+            raise AssertionError("hashed seeds or started workers for a bad dist")
+
+        monkeypatch.setattr(fluctuation, "_seed_words", refuse)
+        monkeypatch.setattr(fluctuation, "_ordered_map", refuse)
+        with pytest.raises(cl.ConfigError, match="cauchy"):
+            cl.moment_suite(5, 10, 3, "cauchy", 1, threads)
+        with pytest.raises(cl.ConfigError, match="cauchy"):
+            cl.run_clt(5, 10, cl.Polynomial([0, 1]), "cauchy", 1, threads)
 
 
 class TestLesAnalytic:
@@ -221,11 +249,43 @@ class TestTrialSeeds:
         seeds_b = {cl.trial_seed(b, t) for t in range(10_000)}
         assert seeds_a.isdisjoint(seeds_b)
 
+    @settings(max_examples=50, deadline=None)
+    @given(master=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1]))
+    def test_vectorized_seeds_match_trial_seed(self, master):
+        seeds = _trial_seeds(master, 300)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [cl.trial_seed(master, t) for t in range(300)]
+
     def test_adjacent_masters_draw_different_matrices(self):
         f = cl.Polynomial([0, 0, 1])
         r0 = cl.run_clt(20, 64, f, "gaussian", 0)
         r1 = cl.run_clt(20, 64, f, "gaussian", 1)
         assert not np.allclose(np.sort(r0.samples), np.sort(r1.samples))
+
+
+class TestPcg64States:
+    """The trial loop's PCG64 states against ``np.random.PCG64(seed).state``.
+
+    The hash replays numpy's SeedSequence and PCG64 seeding, both of
+    which numpy keeps stream-stable across releases; a failure here means
+    numpy changed one of those algorithms, and trial streams no longer
+    match ``sample_centro``.
+    """
+
+    @staticmethod
+    def states(seeds):
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        return [_pcg64_state(w) for w in words.tolist()]
+
+    def test_edge_seeds(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        assert self.states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_drawn_seeds(self, seeds):
+        assert self.states(seeds) == [np.random.PCG64(s).state for s in seeds]
 
 
 class TestRunClt:
