@@ -173,12 +173,10 @@ def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix
     Class draws are consumed in row-major order of the representative
     cells, so a fixed ``(n, dist, seed)`` reproduces the same matrix on
     any platform.  Mirrored cells are plain copies, hence bitwise equal.
+    The matrix is the one-trial batch ``sample_centro_batch(n, 1, dist,
+    seed)[0]``, made read-only.
     """
-    if n < 1:
-        raise ValueError(f"matrix order must be positive, got {n}")
-    _check_dist(dist)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    entries = _mirror(_draw(rng, dist, np.empty(class_count(n))), n)
+    entries = sample_centro_batch(n, 1, dist, seed)[0]
     entries.flags.writeable = False
     return CentroMatrix(n=n, entries=entries, seed=seed, dist=dist)
 

@@ -4,9 +4,9 @@ Eigenvalues come from the classical dense pipeline: diagonal balancing,
 Householder reduction to Hessenberg form, then implicit double-shift
 (Francis) QR with deflation.  Complex conjugate pairs emerge from real
 2x2 blocks, so the iteration itself never touches complex arithmetic.
-Each bulge-chase step forms its symmetric 3x3 Householder reflector
-from Python floats and applies it with one in-place matrix product per
-side, to the three rows and then the three columns it touches.
+Each bulge-chase step forms its symmetric 3x3 Householder reflector (2x2
+at the last step) from Python floats and applies it with one in-place
+matrix product per side, to the rows and then the columns it touches.
 ``eigenvalues`` is a general dense solver: it does not look for
 centrosymmetry.  ``centrolab spectrum`` solves the two Weaver blocks
 with it, while tests compare that against the full-matrix solve as an
@@ -294,23 +294,18 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
         y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
         z = h[lo + 1, lo] * h[lo + 2, lo + 1]
 
-        for k in range(lo, hi - 1):
+        # 3x3 reflectors chase the bulge down; the last step (z = None) is 2x2
+        for k in range(lo, hi):
             r = _householder(x, y, z)
             if r is not None:
-                rows = h[k : k + 3, max(lo, k - 1) : hi + 1]
+                rows = h[k : k + len(r), max(lo, k - 1) : hi + 1]
                 rows[...] = r @ rows
-                cols = h[lo : min(k + 4, hi + 1), k : k + 3]
+                cols = h[lo : min(k + len(r) + 1, hi + 1), k : k + len(r)]
                 cols[...] = cols @ r
-            x = h.item(k + 1, k)
-            y = h.item(k + 2, k)
-            z = h.item(k + 3, k) if k < hi - 2 else 0.0
-        r = _householder(x, y)
-        if r is not None:
-            k = hi - 1
-            rows = h[k : k + 2, k - 1 : hi + 1]
-            rows[...] = r @ rows
-            cols = h[lo : hi + 1, k : k + 2]
-            cols[...] = cols @ r
+            if k < hi - 1:
+                x = h.item(k + 1, k)
+                y = h.item(k + 2, k)
+                z = h.item(k + 3, k) if k < hi - 2 else None
 
     if exp:
         values.real = np.ldexp(values.real, exp)

@@ -24,14 +24,16 @@ representatives, the work actually done; it is counted exactly, before
 any representative is generated, from the table that drives the walk.
 
 Representatives are generated depth-first in blocks of at most
-``_BLOCK`` rows.  Every term and weight is a nonnegative integer, so
-each block sum is exact while the total stays below ``2**53``, and then
-the value is bitwise independent of the enumeration order; blocks are
-combined with compensated (Kahan) accumulation for larger totals.
+``_BLOCK`` rows.  Everything is an exact integer: each Wick term is a
+product of entries of one (m-1)!! table, the terms are summed per orbit
+size as Python ints and weighted by those sizes, and the total is
+divided by ``n**(w // 2)`` once.  So the value is the correctly rounded
+exact expectation (``inf`` past the double range) in any block order.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -52,16 +54,27 @@ DEFAULT_TERM_BUDGET = 10**8
 _BLOCK = 1 << 16  # orbit representatives per vectorized block
 
 
+def _moments(m: int) -> list[int]:
+    """Exact ``E[x^j]`` for standard normal x, j = 0 .. m: (j-1)!! or 0 for odd j."""
+    table = [1, 0]
+    for j in range(2, m + 1):
+        table.append((j - 1) * table[j - 2])
+    return table[: m + 1]
+
+
+def _quotient(num: int, den: int) -> float:
+    """``num / den`` rounded once to the nearest float, ``inf`` past its range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
 def gaussian_moment(m: int) -> float:
     """E[x^m] for standard normal x: (m-1)!! for even m, 0 for odd m."""
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
-    if m % 2 == 1:
-        return 0.0
-    out = 1.0
-    for j in range(m - 1, 1, -2):
-        out *= j
-    return out
+    return _quotient(_moments(m)[m], 1)
 
 
 @dataclass(frozen=True)
@@ -80,31 +93,17 @@ class ChainExpectation:
     terms_enumerated: int
 
 
-class _Kahan:
-    """Compensated accumulator for combining per-block partial sums."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        value += self.carry
-        new_total = self.total + value
-        self.carry = value - (new_total - self.total)
-        self.total = new_total
-
-
 def _block_sum(
-    digits: np.ndarray, weights: np.ndarray, lengths: tuple[int, ...], n: int
-) -> float:
-    """Weighted sum of per-row Wick products for one block of index tuples.
+    digits: np.ndarray, used: np.ndarray, lengths: tuple[int, ...], n: int
+) -> int:
+    """Exact orbit-weighted sum of the per-row Wick products of one block.
 
     Each row of ``digits`` holds the concatenated indices of the chains
     in ``lengths``; a chain of length L visits cells
     (i_1, i_2), ..., (i_L, i_1).  A row's term is the product over its
     distinct classes of the centered Gaussian moment of the class
     multiplicity: ``prod (m_c - 1)!!`` if every multiplicity is even,
-    else zero.  Returns ``sum(term * weights)``.
+    else zero.  Row t's term is weighted by the orbit size of ``used[t]`` pairs.
     """
     succ = np.empty_like(digits)  # the column index of each visited cell
     off = 0
@@ -122,10 +121,12 @@ def _block_sum(
     np.not_equal(cls[:, 1:], cls[:, :-1], out=first[:, 1:])
     starts = np.flatnonzero(first)
     runs = np.diff(starts, append=first.size)
-    moments = np.zeros(width + 1)  # (m - 1)!! for even m, 0 for odd m
-    moments[::2] = np.cumprod(np.r_[1.0, np.arange(1, width, 2)])
+    moments = np.array(_moments(width), dtype=object)
+    if moments.max() * rows < 2**63:  # bounds every sum of terms: int64 is exact
+        moments = moments.astype(np.int64)
     term = np.multiply.reduceat(moments[runs], np.flatnonzero(starts % width == 0))
-    return float(term @ weights)
+    sizes = _orbit_sizes(n, width)
+    return sum(size * int(term[used == r].sum()) for r, size in enumerate(sizes))
 
 
 def _orbit_sizes(n: int, width: int) -> list[int]:
@@ -227,7 +228,7 @@ def _representatives(
 
 
 def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
-    """Unnormalized Wick sum over all ``n**w`` chains of the given lengths.
+    """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
 
     Raises BudgetExceededError before any work when the chains have more
     than ``budget`` orbit representatives.
@@ -241,15 +242,13 @@ def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
             f"representatives, exceeding the budget of {budget}"
         )
     sizes = _orbit_sizes(n, width)
-    weights = np.array(sizes, dtype=float)
-    acc = _Kahan()
-    covered = 0
+    total = covered = 0
     for rows, used in _representatives(n, table):
-        acc.add(_block_sum(rows, weights[used], lengths, n))
+        total += _block_sum(rows, used, lengths, n)
         counts = np.bincount(used, minlength=len(sizes))
         covered += sum(int(c) * size for c, size in zip(counts, sizes))
     assert covered == n**width, f"orbits cover {covered} of {n**width} index tuples"
-    return acc.total
+    return _quotient(total, n ** (width // 2))
 
 
 def oracle_single_chain(
@@ -264,7 +263,7 @@ def oracle_single_chain(
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    value = _enumerate(n, (k,), budget) / float(n) ** (k / 2)
+    value = _enumerate(n, (k,), budget)
     return ChainExpectation(n=n, k=k, l=None, value=value, terms_enumerated=n**k)
 
 
@@ -278,7 +277,7 @@ def oracle_double_chain(
     """
     if n < 1 or k < 1 or l < 1:
         raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
-    value = _enumerate(n, (k, l), budget) / float(n) ** ((k + l) / 2)
+    value = _enumerate(n, (k, l), budget)
     return ChainExpectation(n=n, k=k, l=l, value=value, terms_enumerated=n ** (k + l))
 
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import centrolab as cl
 from centrolab import oracle
+from centrolab.cli import main
 
 
 class TestGaussianMoment:
@@ -232,3 +235,40 @@ def test_orbit_sizes_cover_every_tuple(n, w):
         visited += used.size
     assert covered == n**w
     assert visited == table[0][0]  # the count the budget is checked against
+
+
+def _double_factorial(m: int) -> float:
+    """(m - 1)!! for even m, rounded once to a float."""
+    return float(math.prod(range(m - 1, 1, -2)))
+
+
+class TestExactRounding:
+    def test_moments_are_correctly_rounded(self):
+        # (m - 1)!! leaves 2**53 at m = 32; a float running product then
+        # rounds at every step and drifts off the correctly rounded value
+        for m in range(0, 121, 2):
+            assert cl.gaussian_moment(m) == _double_factorial(m), m
+
+    def test_single_index_chain_is_correctly_rounded(self):
+        # at n = 1 the only chain puts all k cells in one class: (k - 1)!!
+        for k in range(2, 81, 2):
+            assert cl.oracle_single_chain(1, k).value == _double_factorial(k), k
+
+    def test_beyond_double_range_is_inf(self, tmp_path):
+        assert cl.gaussian_moment(400) == math.inf
+        assert cl.oracle_single_chain(1, 400).value == math.inf
+        assert cl.oracle_double_chain(1, 200, 200).value == math.inf
+        argv = ["oracle", "--n", "1", "--k_list", "400", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = (tmp_path / "oracle_table.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "inf"
+
+    @pytest.mark.parametrize("n", [7, 8, 13, 100, 101, 999, 1000])
+    def test_large_n_matches_closed_forms(self, n):
+        # n**(w/2) E[Tr M^w] is a polynomial in n for each parity of n,
+        # so these hold exactly where brute force cannot reach
+        tr4 = 2 + Fraction(8, n) - Fraction(7, n * n) * (n % 2)
+        assert cl.oracle_single_chain(n, 4).value == float(tr4)
+        if n % 2 == 0:
+            tr6 = 2 + Fraction(24, n) + Fraction(64, n * n)
+            assert cl.oracle_single_chain(n, 6).value == float(tr6)
