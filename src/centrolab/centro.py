@@ -82,7 +82,9 @@ class CentroMatrix:
     ``entries`` is the dense order-``n`` array already scaled by
     ``1/sqrt(n)``; mirrored cells are bitwise-identical copies of one
     underlying draw.  Instances are immutable (the entry array is marked
-    read-only) and safe to share across threads.
+    read-only) and safe to share across threads.  A CentroMatrix is an
+    array-like: ``np.asarray(m, dtype=float)`` is ``entries`` itself, and
+    ``np.array(m)`` a writable copy.
     """
 
     n: int
@@ -90,14 +92,17 @@ class CentroMatrix:
     seed: int
     dist: str
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
+
 
 def representative_mask(n: int) -> np.ndarray:
-    """Boolean grid marking the lexicographic-minimum cell of each class."""
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    ri = n - 1 - i
-    rj = n - 1 - j
-    return (i < ri) | ((i == ri) & (j <= rj))
+    """Boolean grid marking the lexicographic-minimum cell of each class.
+
+    Those are the first ``class_count(n)`` cells in row-major order, the
+    layout ``_mirror`` and ``_representative_rows`` rely on.
+    """
+    return np.arange(n * n).reshape(n, n) < class_count(n)
 
 
 def _check_dist(dist: str) -> None:
@@ -201,7 +206,7 @@ def sample_centro_batch(
 
 def assert_centrosymmetric(mat: np.ndarray | CentroMatrix, tol: float = 0.0) -> bool:
     """True iff ``max |m[i,j] - m[n-1-i,n-1-j]| <= tol``."""
-    a = mat.entries if isinstance(mat, CentroMatrix) else np.asarray(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if tol < 0:
@@ -261,7 +266,7 @@ def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
     p^T and center cell q:
     ``plus = [[A + B J, sqrt(2) u], [sqrt(2) p^T, q]]``, ``minus = A - B J``.
     """
-    a = m.entries if isinstance(m, CentroMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
     n = a.shape[-1]

@@ -9,7 +9,8 @@ serve several commands; flags override it.  File and flag values pass
 the same parse and check.  Every command is deterministic given its
 configuration (the ``runtime_seconds`` report field excluded).
 
-Exit codes: 0 ok, 1 config or usage, 2 I/O, 3 solver, 4 enumeration budget.
+Exit codes: 0 ok, 1 config or usage (a contour radius whose nodes hit a
+kernel pole included), 2 I/O, 3 solver, 4 enumeration budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import io
 from .centro import DISTRIBUTIONS, assert_centrosymmetric, sample_centro, weaver_blocks
 from .eig import Spectrum, eigenvalues, spectral_radial_cdf, trace_power
-from .errors import BudgetExceededError, ConfigError, SolverConvergenceError
+from .errors import BudgetExceededError, ConfigError, SingularityError, SolverConvergenceError
 from .fluctuation import moment_suite, run_clt
 from .oracle import DEFAULT_TERM_BUDGET, convergence_table
 from .poly import Polynomial
@@ -77,8 +78,7 @@ SETTINGS = {
         int,
         None,
         lambda v: v >= 1,
-        "worker threads, >= 1, capped at one per CPU and per trial stack;"
-        " default: CENTROLAB_THREADS, else 1",
+        "worker threads, >= 1, capped at one per CPU and per trial stack; default 1",
     ),
     "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
     "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     try:
         run, cfg = _configure(argv)
         return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, SingularityError) as exc:  # a contour node on a kernel pole
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centro import CentroMatrix
-
 __all__ = [
     "Spectrum",
     "balance",
@@ -71,7 +69,7 @@ class Spectrum:
 
 
 def _as_array(mat) -> np.ndarray:
-    a = mat.entries if isinstance(mat, CentroMatrix) else np.asarray(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -137,11 +135,8 @@ def hessenberg(mat) -> np.ndarray:
         alpha = float(np.linalg.norm(v))
         if v[0] > 0:
             alpha = -alpha
-        v[0] -= alpha
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            continue
-        w = 2.0 / vnorm2
+        v[0] -= alpha  # |v[0]| + |alpha| >= 1/2: v @ v is never 0
+        w = 2.0 / float(v @ v)
         h[k + 1 :, k:] -= np.outer(w * v, v @ h[k + 1 :, k:])
         h[:, k + 1 :] -= np.outer(h[:, k + 1 :] @ v, w * v)
         h[k + 2 :, k] = 0.0
@@ -192,11 +187,11 @@ def _householder(x: float, y: float, z: float | None = None):
     ).reshape(3, 3)
 
 
-def _peel_blocks(h: np.ndarray, hi: int, values: np.ndarray) -> None:
-    """Fill values[0..hi] from the current 1x1/2x2 diagonal blocks as-is."""
+def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
+    """Fill values[lo..hi] from the current 1x1/2x2 diagonal blocks as-is."""
     i = hi
-    while i >= 0:
-        if i == 0 or h[i, i - 1] == 0.0:
+    while i >= lo:
+        if i == lo or h[i, i - 1] == 0.0:
             values[i] = h[i, i]
             i -= 1
         else:
@@ -231,9 +226,6 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
     if max_sweeps is None:
         max_sweeps = 30 * n
     values = np.empty(n, dtype=complex)
-    if n == 1:
-        values[0] = a[0, 0]
-        return Spectrum(values=values, iterations=0, converged=True)
     b = balance(a)
     amax = float(np.max(np.abs(b), initial=0.0))
     exp = math.frexp(amax)[1] if amax > _SAFE_MAX or 0.0 < amax < _SAFE_MIN else 0
@@ -253,21 +245,14 @@ def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
-        if lo == hi:
-            values[hi] = h[hi, hi]
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            values[hi - 1], values[hi] = _eig2x2(
-                h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi]
-            )
-            hi -= 2
+        if lo >= hi - 1:  # a deflated 1x1 or 2x2 block
+            _peel_blocks(h, lo, hi, values)
+            hi = lo - 1
             stall = 0
             continue
         if sweeps >= max_sweeps:
             converged = False
-            _peel_blocks(h, hi, values)
+            _peel_blocks(h, 0, hi, values)
             break
 
         sweeps += 1
@@ -343,7 +328,7 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")
-    a = mat.entries if isinstance(mat, CentroMatrix) else np.asarray(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
     powers = [None, a]  # powers[i] is A^i

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The command-line front end maps these onto its exit codes (config 1,
-I/O 2, solver 3, enumeration budget 4); library callers catch them like
-any other exception.
+I/O 2, solver 3, enumeration budget 4); a kernel pole hit by a contour
+the configuration asked for is a config error, exit 1.  Library callers
+catch them like any other exception.
 """
 
 

@@ -15,7 +15,8 @@ class values of consecutive trials into one array per stack (the draws
 of about 1 MiB of matrix entries), builds P and Q straight from those
 rows with the same Weaver split ``weaver_blocks`` uses, and traces each
 stack at once; the mirrored matrix M is never formed.
-``les_polynomial`` traces one given matrix through ``weaver_blocks``.
+``les_polynomial`` traces one given matrix through the same core, fed
+with a view of M's representative cells.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -51,7 +52,6 @@ from .centro import (
     _representative_rows,
     _weaver_split,
     class_count,
-    weaver_blocks,
 )
 from .eig import Spectrum, trace_powers
 from .errors import ConfigError, DiagnosticError
@@ -169,24 +169,14 @@ def _pcg64_state(words) -> dict:
     }
 
 
-def default_threads() -> int:
-    """Worker count fallback: CENTROLAB_THREADS, else 1."""
-    raw = os.environ.get("CENTROLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _ordered_map(work, count: int, threads: int | None) -> list:
     """Apply ``work`` to 0..count-1, results in index order regardless of schedule.
 
-    Runs on at most ``min(threads, count, os.cpu_count())`` workers: more
-    would only hold more stacks in memory at once, since results do not
-    depend on the worker count.
+    Runs on at most ``min(threads, count, os.cpu_count())`` workers (one
+    when ``threads`` is None): more would only hold more stacks in memory
+    at once, since results do not depend on the worker count.
     """
-    threads = default_threads() if threads is None else max(1, threads)
-    workers = min(threads, count, os.cpu_count() or 1)
+    workers = min(threads or 1, count, os.cpu_count() or 1)
     if workers <= 1:
         return [work(t) for t in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -211,13 +201,6 @@ def _block_traces(blocks: WeaverBlocks, trace1, k_max: int) -> np.ndarray:
     traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
     traces[..., 0] = trace1
     return traces
-
-
-def _stack_traces(stack: np.ndarray, k_max: int) -> np.ndarray:
-    """Tr M^1 .. M^k_max of a ``(trials, n, n)`` stack through its Weaver blocks."""
-    return _block_traces(
-        weaver_blocks(stack), np.trace(stack, axis1=-2, axis2=-1), k_max
-    )
 
 
 def _draw_traces(draws: np.ndarray, n: int, k_max: int) -> np.ndarray:
@@ -277,12 +260,15 @@ def _les_values(traces: np.ndarray, f: Polynomial, n: int):
 def les_polynomial(m: CentroMatrix, f: Polynomial):
     """L_n(f) through the trace path: ``a_0 n + sum_k a_k Tr M^k``.
 
-    Uses the Weaver blocks and matrix products only; returns a float for
-    real coefficients, complex otherwise.
+    Traces M's representative cells, the first ``class_count(n)`` in
+    row-major order, through the trial loop's core: Weaver blocks and
+    matrix products only.  Returns a float for real coefficients,
+    complex otherwise.
     """
     if f.degree < 1:
         raise ValueError("test polynomial must have degree at least 1")
-    return _les_values(_stack_traces(m.entries[None], f.degree)[0], f, m.n)
+    draws = m.entries.reshape(1, m.n * m.n)[:, : class_count(m.n)]
+    return _les_values(_draw_traces(draws, m.n, f.degree)[0], f, m.n)
 
 
 def les_analytic(spec: Spectrum, f) -> complex:

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .centro import CentroMatrix
 from .eig import Spectrum
 from .oracle import ChainExpectation
 
@@ -31,14 +30,17 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_matrix_csv(path, mat: CentroMatrix | np.ndarray) -> Path:
-    """Matrix CSV: first line ``n=<int>``, then n rows of n comma-separated values."""
-    a = mat.entries if isinstance(mat, CentroMatrix) else np.asarray(mat, dtype=float)
+def _write_lines(path, lines) -> Path:
+    """Write ``lines`` as text, one per line with a trailing newline."""
     path = Path(path)
-    lines = [f"n={a.shape[0]}"]
-    lines.extend(",".join(fmt(v) for v in row) for row in a)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_matrix_csv(path, mat) -> Path:
+    """Matrix CSV: first line ``n=<int>``, then n rows of n comma-separated values."""
+    a = np.asarray(mat, dtype=float)
+    return _write_lines(path, [f"n={a.shape[0]}", *(",".join(map(fmt, row)) for row in a)])
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -59,22 +61,16 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_spectrum_csv(path, spec: Spectrum) -> Path:
     """Spectrum CSV: header ``re,im`` then one row per eigenvalue."""
-    path = Path(path)
-    lines = ["re,im"]
-    lines.extend(f"{fmt(v.real)},{fmt(v.imag)}" for v in spec.values)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, ["re,im", *(f"{fmt(v.real)},{fmt(v.imag)}" for v in spec.values)])
 
 
 def write_chain_table_csv(path, rows: list[ChainExpectation]) -> Path:
     """Chain-expectation CSV: header ``n,k,l,value,terms``; l empty for singles."""
-    path = Path(path)
     lines = ["n,k,l,value,terms"]
     for r in rows:
         l_text = "" if r.l is None else str(r.l)
         lines.append(f"{r.n},{r.k},{l_text},{fmt(r.value)},{r.terms_enumerated}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def write_histogram_csv(path, samples) -> Path:
@@ -82,17 +78,13 @@ def write_histogram_csv(path, samples) -> Path:
     x = np.asarray(samples, dtype=float)
     edges = np.histogram_bin_edges(x, bins="fd")
     counts, edges = np.histogram(x, bins=edges)
-    path = Path(path)
     lines = ["bin_left,bin_right,count"]
     lines.extend(
         f"{fmt(edges[i])},{fmt(edges[i + 1])},{counts[i]}" for i in range(counts.size)
     )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def write_json(path, payload: dict) -> Path:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
+from centrolab import io
 from centrolab.centro import representative_mask
 
 from _helpers import multiset_gap
@@ -71,8 +72,8 @@ class TestEntryClass:
         reps = {cl.entry_class(n, a, b).rep for a in range(n) for b in range(n)}
         assert len(reps) == cl.class_count(n) == (n * n + 1) // 2
 
-    def test_representative_mask_matches_entry_class(self):
-        n = 6
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7])
+    def test_representative_mask_matches_entry_class(self, n):
         mask = representative_mask(n)
         for i in range(n):
             for j in range(n):
@@ -164,6 +165,29 @@ class TestSampler:
             assert cl.assert_centrosymmetric(stack[t], tol=0.0)
         again = cl.sample_centro_batch(5, 20, "gaussian", 33)
         assert np.array_equal(stack, again)
+
+
+class TestArrayProtocol:
+    def test_asarray_is_the_entries_and_array_a_writable_copy(self):
+        m = cl.sample_centro(5, "gaussian", 2)
+        view = np.asarray(m, dtype=float)
+        assert view is m.entries and not view.flags.writeable
+        copy = np.array(m)
+        assert copy.flags.writeable and not np.shares_memory(copy, m.entries)
+        assert np.array_equal(copy, m.entries)
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_consumers_match_the_entries_bitwise(self, n, tmp_path):
+        m = cl.sample_centro(n, "uniform", 3)
+        a, b = cl.eigenvalues(m), cl.eigenvalues(m.entries)
+        assert a.values.tobytes() == b.values.tobytes() and a.iterations == b.iterations
+        assert cl.trace_powers(m, 5).tobytes() == cl.trace_powers(m.entries, 5).tobytes()
+        wa, wb = cl.weaver_blocks(m), cl.weaver_blocks(m.entries)
+        assert wa.plus.tobytes() == wb.plus.tobytes()
+        assert wa.minus.tobytes() == wb.minus.tobytes()
+        pa = io.write_matrix_csv(tmp_path / "a.csv", m)
+        pb = io.write_matrix_csv(tmp_path / "b.csv", m.entries)
+        assert pa.read_bytes() == pb.read_bytes()
 
 
 class TestAssertCentrosymmetric:

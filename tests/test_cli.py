@@ -273,22 +273,6 @@ class TestConfigFile:
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert run(["sample", "--config", tmp_path / "absent.cfg"]) == 1
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CENTROLAB_THREADS", "2")
-        assert (
-            run(
-                [
-                    "clt",
-                    "--n", 10,
-                    "--trials", 6,
-                    "--f", "0,1",
-                    "--seed", 1,
-                    "--out", tmp_path,
-                ]
-            )
-            == 0
-        )
-
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -319,6 +303,9 @@ class TestBadInput:
             pytest.param(["variance", "--f", "0,1", "--n", "5"], id="flag-not-read"),
             pytest.param(["variance", "--f", "0,1", "--node", "12"], id="abbreviated-flag"),
             pytest.param(["sample", "--n", "2", "--f", "0,0,0"], id="sample-f"),
+            pytest.param(
+                ["variance", "--f", "0,1", "--radius", "1.0000000001"], id="radius-at-pole"
+            ),
         ],
     )
     def test_exits_1_without_output(self, argv, tmp_path, monkeypatch, capsys):

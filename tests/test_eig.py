@@ -85,6 +85,22 @@ class TestSolverContracts:
         s = cl.eigenvalues(m)
         assert s.values.shape == (5,)
 
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            (np.triu(np.arange(1.0, 26.0).reshape(5, 5)), [1.0, 7.0, 13.0, 19.0, 25.0]),
+            (
+                np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]),
+                [3.0, 1j, -1j],
+            ),
+        ],
+        ids=["upper-triangular", "rotation-plus-1x1"],
+    )
+    def test_deflated_input_needs_no_sweep(self, a, expected):
+        s = cl.eigenvalues(a, max_sweeps=0)
+        assert s.converged and s.iterations == 0
+        assert np.array_equal(np.sort(s.values), np.sort(np.array(expected, dtype=complex)))
+
 
 class TestExtremeMagnitudes:
     @pytest.mark.parametrize(
@@ -95,8 +111,18 @@ class TestExtremeMagnitudes:
             np.array([[0.0, 1e-200], [1e-200, 0.0]]),
             3e155 * cl.sample_centro(6, "gaussian", 1).entries,
             1e-170 * cl.sample_centro(6, "gaussian", 1).entries,
+            np.array([[5e300]]),
+            np.array([[-1e-310]]),
         ],
-        ids=["overflow-real", "overflow-complex", "underflow", "huge-centro", "tiny-centro"],
+        ids=[
+            "overflow-real",
+            "overflow-complex",
+            "underflow",
+            "huge-centro",
+            "tiny-centro",
+            "huge-1x1",
+            "subnormal-1x1",
+        ],
     )
     def test_matches_numpy(self, a):
         s = cl.eigenvalues(a)

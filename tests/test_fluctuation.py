@@ -18,7 +18,6 @@ from centrolab.fluctuation import (
     _pcg64_state,
     _seed_words,
     _splitmix64,
-    _stack_traces,
     _trial_seeds,
     _trial_traces,
 )
@@ -86,14 +85,13 @@ class TestWeaverFirstTraces:
         for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
             trials = fluctuation._stack_size(n) + 9
             for dist in cl.DISTRIBUTIONS:
-                expected = np.array(
-                    [
-                        _stack_traces(
-                            cl.sample_centro(n, dist, cl.trial_seed(8, t)).entries[None], 4
-                        )[0]
-                        for t in range(trials)
-                    ]
-                )
+                expected = np.empty((trials, 4))
+                for t in range(trials):
+                    stack = cl.sample_centro(n, dist, cl.trial_seed(8, t)).entries[None]
+                    blocks = cl.weaver_blocks(stack)
+                    traces = cl.trace_powers(blocks.plus, 4) + cl.trace_powers(blocks.minus, 4)
+                    traces[..., 0] = np.trace(stack, axis1=-2, axis2=-1)
+                    expected[t] = traces[0]
                 for threads in (1, 2):
                     traces = _trial_traces(n, trials, 4, dist, 8, threads)
                     assert np.array_equal(traces, expected), (n, dist, threads)
