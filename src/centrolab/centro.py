@@ -4,7 +4,10 @@ A real square matrix is centrosymmetric when rotating its entry grid by
 180 degrees leaves it unchanged: ``m[i, j] == m[n-1-i, n-1-j]``.  Matrices
 here are built from one i.i.d. draw per reflection class, copied to both
 cells of the class and scaled by ``1/sqrt(n)``, so an order-``n`` matrix
-carries exactly ``ceil(n**2 / 2)`` independent random variables.
+carries exactly ``ceil(n**2 / 2)`` independent random variables.  In
+row-major order cell a mirrors to cell ``n**2 - 1 - a``, so the first
+``ceil(n**2 / 2)`` cells hold one draw per class; sampling, mirroring
+and the Weaver split all read a matrix through that layout.
 
 The Weaver split turns any such matrix, by an explicit orthogonal
 similarity, into two independent diagonal blocks whose joint spectrum
@@ -99,8 +102,9 @@ class CentroMatrix:
 def representative_mask(n: int) -> np.ndarray:
     """Boolean grid marking the lexicographic-minimum cell of each class.
 
-    Those are the first ``class_count(n)`` cells in row-major order, the
-    layout ``_mirror`` and ``_representative_rows`` rely on.
+    Those are the first ``class_count(n)`` cells in row-major order:
+    cell a mirrors to cell ``n*n - 1 - a``, the layout ``_mirror``,
+    ``_weaver_split`` and the trial loop read.
     """
     return np.arange(n * n).reshape(n, n) < class_count(n)
 
@@ -113,17 +117,19 @@ def _check_dist(dist: str) -> None:
 
 
 def _draw(
-    rng: np.random.Generator, dist: str, out: np.ndarray, states=None
+    rng: np.random.Generator, n: int, dist: str, out: np.ndarray, states=None
 ) -> np.ndarray:
-    """Fill ``out`` in place with mean-0, variance-1 ``dist`` variates; return it.
+    """Fill ``out`` in place with ``dist`` class draws for order ``n``; return it.
 
-    Without ``states`` all of ``out`` continues ``rng``'s stream.  With
-    ``states``, row i of ``out`` is drawn right after ``rng``'s bit
-    generator is set to ``states[i]``, so every row is its own stream.
-    ``dist`` must be checked first; anything but "gaussian" draws
-    uniform(-sqrt(3), sqrt(3)) as ``u * 2 sqrt(3) - sqrt(3)`` over all of
-    ``out`` at once, bitwise what ``rng.uniform`` returns, since it
-    computes ``low + (high - low) * u`` and ``2 sqrt(3)`` is exact.
+    The draws are mean-0, variance-1 variates divided by ``sqrt(n)``, the
+    one place either sampler scales.  Without ``states`` all of ``out``
+    continues ``rng``'s stream.  With ``states``, row i of ``out`` is
+    drawn right after ``rng``'s bit generator is set to ``states[i]``, so
+    every row is its own stream.  ``dist`` must be checked first;
+    anything but "gaussian" draws uniform(-sqrt(3), sqrt(3)) as
+    ``u * 2 sqrt(3) - sqrt(3)`` over all of ``out`` at once, bitwise what
+    ``rng.uniform`` returns, since it computes ``low + (high - low) * u``
+    and ``2 sqrt(3)`` is exact.
     """
     fill = rng.standard_normal if dist == "gaussian" else rng.random
     if states is None:
@@ -135,41 +141,22 @@ def _draw(
     if dist != "gaussian":
         out *= 2.0 * _SQRT3
         out -= _SQRT3
+    out /= math.sqrt(n)
     return out
 
 
 def _mirror(draws: np.ndarray, n: int) -> np.ndarray:
     """Order-``n`` centrosymmetric matrices from ``(..., class_count(n))`` class draws.
 
-    The representative cells in row-major order are the first
-    ``class_count(n)`` cells of the flattened grid: the top ``n // 2``
-    rows, then, for odd n, the middle row up to and including the
-    center.  Draws fill those cells, the reflection copies them to the
-    rest, and the whole grid is divided by ``sqrt(n)`` in place.
+    The draws fill the first ``c = class_count(n)`` cells of the
+    row-major grid; cell a mirrors to cell ``n*n - 1 - a``, so the other
+    ``n*n - c`` cells are the first ``n*n - c`` draws reversed.
     """
-    h = n // 2
-    lead = draws.shape[:-1]
-    flat = np.empty(lead + (n * n,))
-    flat[..., : draws.shape[-1]] = draws
-    raw = flat.reshape(lead + (n, n))
-    raw[..., n - h :, :] = raw[..., :h, :][..., ::-1, ::-1]
-    if n % 2 == 1:
-        raw[..., h, h + 1 :] = raw[..., h, :h][..., ::-1]
-    raw /= math.sqrt(n)
-    return raw
-
-
-def _representative_rows(draws: np.ndarray, n: int):
-    """Representative rows of order-``n`` matrices from ``(s, class_count(n))`` class draws.
-
-    Returns views of ``draws``: the top ``n // 2`` rows, shape
-    ``(s, n // 2, n)``, and, for odd n, the middle row up to and
-    including the center, shape ``(s, n // 2 + 1)`` (else None), the
-    cells ``_mirror`` fills before reflecting them.
-    """
-    h = n // 2
-    top = draws[:, : h * n].reshape(len(draws), h, n)
-    return top, (draws[:, h * n :] if n % 2 else None)
+    c = class_count(n)
+    flat = np.empty(draws.shape[:-1] + (n * n,))
+    flat[..., :c] = draws
+    flat[..., c:] = draws[..., : n * n - c][..., ::-1]
+    return flat.reshape(draws.shape[:-1] + (n, n))
 
 
 def sample_centro(n: int, dist: str = "gaussian", seed: int = 0) -> CentroMatrix:
@@ -201,7 +188,7 @@ def sample_centro_batch(
         raise ValueError(f"trial count must be positive, got {trials}")
     _check_dist(dist)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _mirror(_draw(rng, dist, np.empty((trials, class_count(n)))), n)
+    return _mirror(_draw(rng, n, dist, np.empty((trials, class_count(n)))), n)
 
 
 def assert_centrosymmetric(mat: np.ndarray | CentroMatrix, tol: float = 0.0) -> bool:
@@ -228,29 +215,30 @@ class WeaverBlocks:
     minus: np.ndarray
 
 
-def _weaver_split(top: np.ndarray, middle: np.ndarray | None) -> WeaverBlocks:
+def _weaver_split(cells: np.ndarray, n: int) -> WeaverBlocks:
     """Weaver blocks of order-``n`` centrosymmetric matrices from their
-    representative rows.
+    row-major cells, shape ``(..., c)`` with ``c >= class_count(n)``.
 
-    ``top`` holds the top ``h = n // 2`` rows, shape ``(..., h, n)``; for
-    odd n, ``middle`` holds the middle row up to and including the
-    center, shape ``(..., h + 1)``, and is ignored for even n.  With
-    A and B the left and right h columns of ``top``, ``plus = A + B J``
-    and ``minus = A - B J``; the odd-n border of ``plus`` is
-    ``sqrt(2) u`` (column h of ``top``), ``sqrt(2) p^T`` (``middle``
-    before the center) and ``q`` (the center).
+    Only the first ``class_count(n)`` cells are read: the top
+    ``h = n // 2`` rows are the first ``h n`` cells, and for odd n the
+    next ``h + 1`` are the middle row up to and including the center.
+    With A and B the left and right h columns of the top rows,
+    ``plus = A + B J`` and ``minus = A - B J``; the odd-n border of
+    ``plus`` is ``sqrt(2) u`` (column h of the top rows), ``sqrt(2) p^T``
+    (the middle row before the center) and ``q`` (the center).
     """
-    h = top.shape[-2]
+    h = n // 2
+    top = cells[..., : h * n].reshape(cells.shape[:-1] + (h, n))
     A = top[..., :h]
     bj = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
     minus = A - bj
-    if top.shape[-1] % 2 == 0:
+    if n % 2 == 0:
         return WeaverBlocks(plus=A + bj, minus=minus)
-    plus = np.empty(top.shape[:-2] + (h + 1, h + 1))
+    plus = np.empty(cells.shape[:-1] + (h + 1, h + 1))
     plus[..., :h, :h] = A + bj
     plus[..., :h, h] = math.sqrt(2.0) * top[..., h]
-    plus[..., h, :h] = math.sqrt(2.0) * middle[..., :h]
-    plus[..., h, h] = middle[..., h]
+    plus[..., h, :h] = math.sqrt(2.0) * cells[..., h * n : h * n + h]
+    plus[..., h, h] = cells[..., h * n + h]
     return WeaverBlocks(plus=plus, minus=minus)
 
 
@@ -260,7 +248,8 @@ def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
 
     Even n = 2m, with M = [[A, B], [C, D]] in m-by-m blocks:
     ``plus = A + B J`` and ``minus = A - B J``.  Centrosymmetry gives
-    ``B J = J C``, so only the top rows of M are read.
+    ``B J = J C``, so only the first ``class_count(n)`` row-major cells
+    of M are read.
 
     Odd n = 2m + 1, with center column top-half u, center row left-half
     p^T and center cell q:
@@ -270,8 +259,7 @@ def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
     n = a.shape[-1]
-    h = n // 2
-    return _weaver_split(a[..., :h, :], a[..., h, : h + 1] if n % 2 else None)
+    return _weaver_split(a.reshape(a.shape[:-2] + (n * n,)), n)
 
 
 def weaver_orthogonal(n: int) -> np.ndarray:

@@ -68,7 +68,7 @@ SETTINGS = {
     ),
     "kmax": Setting(int, 4, lambda v: v >= 2, "largest trace power, >= 2"),
     "dist": Setting(str, "gaussian", DISTRIBUTIONS.__contains__, "entries: gaussian or uniform"),
-    "seed": Setting(int, 1, lambda v: v >= 0, "master seed, >= 0"),
+    "seed": Setting(int, 1, lambda v: 0 <= v < 2**64, "master seed, 0 <= seed < 2**64"),
     "f": Setting(
         _list(float), None, lambda v: all(map(math.isfinite, v)), "finite coefficients c0,...,cd"
     ),
@@ -83,7 +83,12 @@ SETTINGS = {
     "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
     "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),
     "l_list": Setting(_list(int), None, _positive_entries, "double-chain powers l1,... >= 1"),
-    "budget": Setting(int, DEFAULT_TERM_BUDGET, lambda v: v >= 1, "orbit representatives per grid point, >= 1"),
+    "budget": Setting(
+        int,
+        DEFAULT_TERM_BUDGET,
+        lambda v: 1 <= v < 2**63,
+        "orbit representatives per grid point, 1 <= budget < 2**63",
+    ),
     "out": Setting(str, ".", lambda v: "\0" not in v, "output directory"),
 }
 

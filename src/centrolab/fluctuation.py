@@ -16,7 +16,7 @@ of about 1 MiB of matrix entries), builds P and Q straight from those
 rows with the same Weaver split ``weaver_blocks`` uses, and traces each
 stack at once; the mirrored matrix M is never formed.
 ``les_polynomial`` traces one given matrix through the same core, fed
-with a view of M's representative cells.
+with M's row-major cells.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -44,15 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centro import (
-    CentroMatrix,
-    WeaverBlocks,
-    _check_dist,
-    _draw,
-    _representative_rows,
-    _weaver_split,
-    class_count,
-)
+from .centro import CentroMatrix, _check_dist, _draw, _weaver_split, class_count
 from .eig import Spectrum, trace_powers
 from .errors import ConfigError, DiagnosticError
 from .poly import Polynomial
@@ -97,14 +89,18 @@ def trial_seed(master_seed: int, trial: int) -> int:
     Hashing the master seed before adding the trial index keeps the seed
     sets of different master seeds apart; ``splitmix64`` is a bijection
     on 64-bit words, so two masters share a seed only when their hashes
-    lie closer together than the trial count.
+    lie closer together than the trial count.  A master seed outside
+    ``0 <= master_seed < 2**64`` raises ValueError rather than aliasing
+    one inside.
     """
-    return _splitmix64((_splitmix64(master_seed & _MASK64) + trial) & _MASK64)
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
+    return _splitmix64((_splitmix64(master_seed) + trial) & _MASK64)
 
 
 def _trial_seeds(master_seed: int, trials: int) -> np.ndarray:
     """``trial_seed(master_seed, t)`` for t = 0 .. trials-1 as a uint64 array."""
-    start = np.uint64(_splitmix64(master_seed & _MASK64))
+    start = np.uint64(_splitmix64(master_seed))
     return _splitmix64(np.arange(trials, dtype=np.uint64) + start)
 
 
@@ -196,26 +192,21 @@ def _stack_size(n: int) -> int:
     return max(1, 2**17 // (n * n))
 
 
-def _block_traces(blocks: WeaverBlocks, trace1, k_max: int) -> np.ndarray:
-    """Tr M^1 .. M^k_max from M's Weaver blocks, with Tr M^1 given."""
-    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
-    traces[..., 0] = trace1
-    return traces
+def _draw_traces(cells: np.ndarray, n: int, k_max: int) -> np.ndarray:
+    """Tr M^1 .. M^k_max of the matrices whose scaled row-major cells, at
+    least the first ``class_count(n)``, are the rows of ``cells``, without
+    forming the matrices.
 
-
-def _draw_traces(draws: np.ndarray, n: int, k_max: int) -> np.ndarray:
-    """Tr M^1 .. M^k_max of the matrices whose scaled class draws are the rows
-    of ``draws``, without forming the matrices.
-
-    Tr M^1 sums M's diagonal in M's own order, ``diag(A)``, the center,
-    then ``diag(A)`` reversed, so it equals ``np.trace`` of M bitwise.
+    Tr M^1 sums M's diagonal in M's own order: the diagonal cells among
+    the first ``class_count(n)`` (the top half, and the center for odd
+    n), then the same cells reversed without the center, so it equals
+    ``np.trace`` of M bitwise.
     """
-    top, middle = _representative_rows(draws, n)
-    diag = np.diagonal(top, axis1=-2, axis2=-1)
-    parts = [diag, middle[:, -1:], diag[:, ::-1]] if n % 2 else [diag, diag[:, ::-1]]
-    return _block_traces(
-        _weaver_split(top, middle), np.concatenate(parts, axis=-1).sum(-1), k_max
-    )
+    blocks = _weaver_split(cells, n)
+    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
+    d = cells[:, : class_count(n) : n + 1]
+    traces[:, 0] = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
+    return traces
 
 
 def _trial_traces(
@@ -226,24 +217,25 @@ def _trial_traces(
     Trial t draws its class values from ``trial_seed(master_seed, t)``
     exactly as ``sample_centro`` does; consecutive trials are drawn into
     one array per stack of ``_stack_size(n)`` and traced together from
-    their Weaver blocks.  ``dist`` is checked before any seed is hashed
-    or worker started.  The PCG64 states of all trials come from one
-    vectorized seed hash; each stack keeps one generator and sets it to
-    each of its trials' states before drawing that trial's row.
+    their Weaver blocks.  ``dist`` and the master seed, which must lie in
+    ``[0, 2**64)``, are checked before any seed is hashed or worker
+    started.  The PCG64 states of all trials come from one vectorized
+    seed hash; each stack keeps one generator and sets it to each of its
+    trials' states before drawing that trial's row.
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
     _check_dist(dist)
+    if not 0 <= master_seed <= _MASK64:
+        raise ConfigError(f"master seed must be in [0, 2**64), got {master_seed}")
     size = _stack_size(n)
-    classes = class_count(n)
     words = _seed_words(_trial_seeds(master_seed, trials))
 
     def work(s: int) -> np.ndarray:
         stack = words[s * size : (s + 1) * size].tolist()
         rng = np.random.Generator(np.random.PCG64(0))
-        draws = np.empty((len(stack), classes))
-        _draw(rng, dist, draws, map(_pcg64_state, stack))
-        draws /= math.sqrt(n)
+        draws = np.empty((len(stack), class_count(n)))
+        _draw(rng, n, dist, draws, map(_pcg64_state, stack))
         return _draw_traces(draws, n, k_max)
 
     return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
@@ -260,15 +252,15 @@ def _les_values(traces: np.ndarray, f: Polynomial, n: int):
 def les_polynomial(m: CentroMatrix, f: Polynomial):
     """L_n(f) through the trace path: ``a_0 n + sum_k a_k Tr M^k``.
 
-    Traces M's representative cells, the first ``class_count(n)`` in
-    row-major order, through the trial loop's core: Weaver blocks and
-    matrix products only.  Returns a float for real coefficients,
-    complex otherwise.
+    Traces M's row-major cells through the trial loop's core, which
+    reads the first ``class_count(n)`` of them: Weaver blocks and matrix
+    products only.  Returns a float for real coefficients, complex
+    otherwise.
     """
     if f.degree < 1:
         raise ValueError("test polynomial must have degree at least 1")
-    draws = m.entries.reshape(1, m.n * m.n)[:, : class_count(m.n)]
-    return _les_values(_draw_traces(draws, m.n, f.degree)[0], f, m.n)
+    cells = m.entries.reshape(1, m.n * m.n)
+    return _les_values(_draw_traces(cells, m.n, f.degree)[0], f, m.n)
 
 
 def les_analytic(spec: Spectrum, f) -> complex:

@@ -7,6 +7,7 @@ exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +75,20 @@ def write_chain_table_csv(path, rows: list[ChainExpectation]) -> Path:
 
 
 def write_histogram_csv(path, samples) -> Path:
-    """Histogram CSV with Freedman-Diaconis bins: ``bin_left,bin_right,count``."""
+    """Histogram CSV with Freedman-Diaconis bins: ``bin_left,bin_right,count``.
+
+    numpy's ``bins="fd"`` count, ``ceil(range / (2 IQR size**(-1/3)))`` or
+    1 for a zero IQR, capped at one bin per sample: a heavy tail can ask
+    for billions.  Below the cap the edges are numpy's own.
+    """
     x = np.asarray(samples, dtype=float)
-    edges = np.histogram_bin_edges(x, bins="fd")
-    counts, edges = np.histogram(x, bins=edges)
+    bins = 1
+    if x.size:
+        q75, q25 = np.percentile(x, [75, 25])
+        width = 2.0 * float(q75 - q25) * x.size ** (-1.0 / 3.0)
+        if width:
+            bins = math.ceil(min(float(x.max() - x.min()) / width, x.size))
+    counts, edges = np.histogram(x, bins=bins)
     lines = ["bin_left,bin_right,count"]
     lines.extend(
         f"{fmt(edges[i])},{fmt(edges[i + 1])},{counts[i]}" for i in range(counts.size)

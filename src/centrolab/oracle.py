@@ -231,8 +231,11 @@ def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
     """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
 
     Raises BudgetExceededError before any work when the chains have more
-    than ``budget`` orbit representatives.
+    than ``budget`` orbit representatives, and ValueError for a budget of
+    2**63 or more, past the int64 completion counts the walk uses.
     """
+    if budget >= 2**63:
+        raise ValueError(f"budget must be below 2**63, got {budget}")
     width = sum(lengths)
     table = _completions(n, width)
     if table[0][0] > budget:

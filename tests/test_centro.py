@@ -261,13 +261,15 @@ class TestWeaver:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_stack_split_matches_per_matrix_split(self, n):
         stack = cl.sample_centro_batch(n, 4, "gaussian", 60 + n)
-        blocks = cl.weaver_blocks(stack)
-        assert blocks.plus.shape == (4, (n + 1) // 2, (n + 1) // 2)
-        assert blocks.minus.shape == (4, n // 2, n // 2)
-        for t in range(4):
-            one = cl.weaver_blocks(stack[t])
-            assert np.array_equal(blocks.plus[t], one.plus)
-            assert np.array_equal(blocks.minus[t], one.minus)
+        # F-ordered and reversed stacks take the reshape-copy path
+        for view in (stack, np.asfortranarray(stack), stack[::-1]):
+            blocks = cl.weaver_blocks(view)
+            assert blocks.plus.shape == (4, (n + 1) // 2, (n + 1) // 2)
+            assert blocks.minus.shape == (4, n // 2, n // 2)
+            for t in range(4):
+                one = cl.weaver_blocks(np.ascontiguousarray(view[t]))
+                assert np.array_equal(blocks.plus[t], one.plus)
+                assert np.array_equal(blocks.minus[t], one.minus)
 
     @pytest.mark.parametrize("dist", cl.DISTRIBUTIONS)
     @pytest.mark.parametrize("n", range(1, 14))

@@ -163,6 +163,15 @@ class TestClt:
             outs.append(payload)
         assert outs[0] == outs[1] == outs[2]
 
+    def test_heavy_tailed_sample_caps_histogram_bins(self, tmp_path):
+        # f = z^20 at n = 1: Freedman-Diaconis alone asks for ~1e10 bins
+        f = ",".join(["0"] * 20 + ["1"])
+        code = run(["clt", "--n", 1, "--trials", 1000, "--f", f, "--out", tmp_path])
+        assert code == 0
+        rows = (tmp_path / "clt_n1_gaussian_seed1_hist.csv").read_text().splitlines()[1:]
+        assert 1 <= len(rows) <= 1000
+        assert sum(int(row.split(",")[2]) for row in rows) == 1000
+
 
 class TestMoments:
     def test_rows_collapsed_to_ordered_pairs(self, tmp_path):
@@ -305,6 +314,14 @@ class TestBadInput:
             pytest.param(["sample", "--n", "2", "--f", "0,0,0"], id="sample-f"),
             pytest.param(
                 ["variance", "--f", "0,1", "--radius", "1.0000000001"], id="radius-at-pole"
+            ),
+            pytest.param(
+                ["clt", "--n", "8", "--trials", "4", "--f", "0,0,1", "--seed", str(2**64)],
+                id="clt-seed-past-64-bits",
+            ),
+            pytest.param(
+                ["oracle", "--n_list", "30", "--k_list", "40", "--budget", str(10**60)],
+                id="oracle-budget-past-int64",
             ),
         ],
     )

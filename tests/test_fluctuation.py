@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import centrolab as cl
 from centrolab import centro, fluctuation
 from centrolab.fluctuation import (
+    _draw_traces,
     _ordered_map,
     _pcg64_state,
     _seed_words,
@@ -95,6 +96,14 @@ class TestWeaverFirstTraces:
                 for threads in (1, 2):
                     traces = _trial_traces(n, trials, 4, dist, 8, threads)
                     assert np.array_equal(traces, expected), (n, dist, threads)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_full_rows_trace_as_their_first_class_cells(self, n):
+        # les_polynomial passes all n*n cells; the trial loop only the classes
+        cells = cl.sample_centro_batch(n, 3, "gaussian", 70 + n).reshape(3, n * n)
+        full = _draw_traces(cells, n, 5)
+        assert np.array_equal(full, _draw_traces(cells[:, : cl.class_count(n)].copy(), n, 5))
+        assert np.array_equal(full[:, 0], np.trace(cells.reshape(3, n, n), axis1=1, axis2=2))
 
     def test_trial_loop_never_forms_the_matrix(self, monkeypatch):
         def refuse(draws, n):
@@ -253,6 +262,21 @@ class TestTrialSeeds:
         seeds = _trial_seeds(master, 300)
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [cl.trial_seed(master, t) for t in range(300)]
+
+    @pytest.mark.parametrize("master", [-1, 2**64, 2**64 + 5])
+    def test_master_seed_outside_64_bits_rejected(self, master, monkeypatch):
+        # 2**64 used to alias master seed 0
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            cl.trial_seed(master, 0)
+
+        def refuse(*args):
+            raise AssertionError("hashed trial seeds for an out-of-range master seed")
+
+        monkeypatch.setattr(fluctuation, "_seed_words", refuse)
+        with pytest.raises(cl.ConfigError, match="2\\*\\*64"):
+            cl.run_clt(8, 4, cl.Polynomial([0, 0, 1]), master_seed=master)
+        with pytest.raises(cl.ConfigError, match="2\\*\\*64"):
+            cl.moment_suite(8, 4, 2, master_seed=master)
 
     def test_adjacent_masters_draw_different_matrices(self):
         f = cl.Polynomial([0, 0, 1])

@@ -77,7 +77,17 @@ class TestHistogramCsv:
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 500
         lefts = [float(line.split(",")[0]) for line in lines[1:]]
-        assert lefts == sorted(lefts)
+        assert lefts == np.histogram_bin_edges(x, bins="fd")[:-1].tolist()
+
+    @pytest.mark.parametrize("size", [2, 50, 1000])
+    def test_heavy_tailed_sample_gets_at_most_one_bin_per_sample(self, tmp_path, size):
+        # x**20: the IQR is tiny next to the range, so FD alone asks for
+        # far more bins than samples
+        x = np.random.default_rng(size).standard_normal(size) ** 20
+        path = io.write_histogram_csv(tmp_path / "h.csv", x)
+        counts = [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
+        assert 1 <= len(counts) <= size
+        assert sum(counts) == size
 
 
 class TestJson:

@@ -68,6 +68,12 @@ class TestSingleChain:
         with pytest.raises(cl.BudgetExceededError, match="n=3, k=4"):
             cl.oracle_single_chain(3, 4, budget=10)
 
+    def test_budget_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            cl.oracle_single_chain(30, 40, budget=2**63)
+        largest = cl.oracle_single_chain(3, 2, budget=2**63 - 1)
+        assert largest.value == cl.oracle_single_chain(3, 2).value
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             cl.oracle_single_chain(0, 2)
