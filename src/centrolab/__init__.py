@@ -25,6 +25,7 @@ from .eig import (
     balance,
     eigenvalues,
     hessenberg,
+    spectra,
     spectral_radial_cdf,
     trace_power,
     trace_powers,
@@ -113,6 +114,7 @@ __all__ = [
     "run_clt",
     "sample_centro",
     "sample_centro_batch",
+    "spectra",
     "spectral_radial_cdf",
     "trace_power",
     "trace_powers",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import io
 from .centro import DISTRIBUTIONS, assert_centrosymmetric, sample_centro, weaver_blocks
-from .eig import Spectrum, eigenvalues, spectral_radial_cdf, trace_power
+from .eig import Spectrum, spectra, spectral_radial_cdf, trace_power
 from .errors import BudgetExceededError, ConfigError, SingularityError, SolverConvergenceError
 from .fluctuation import moment_suite, run_clt
 from .oracle import DEFAULT_TERM_BUDGET, convergence_table
@@ -157,7 +157,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
     """Eigenvalues of one draw, solved as its two Weaver blocks, plus radial summary."""
     m = sample_centro(cfg.n, cfg.dist, cfg.seed)
     blocks = weaver_blocks(m)
-    plus, minus = eigenvalues(blocks.plus), eigenvalues(blocks.minus)
+    plus, minus = spectra([blocks.plus, blocks.minus])
     spec = Spectrum(
         values=np.concatenate([plus.values, minus.values]),
         iterations=plus.iterations + minus.iterations,

@@ -4,13 +4,19 @@ Eigenvalues come from the classical dense pipeline: diagonal balancing,
 Householder reduction to Hessenberg form, then implicit double-shift
 (Francis) QR with deflation.  Complex conjugate pairs emerge from real
 2x2 blocks, so the iteration itself never touches complex arithmetic.
-Each bulge-chase step forms its symmetric 3x3 Householder reflector (2x2
-at the last step) from Python floats and applies it with one in-place
-matrix product per side, to the rows and then the columns it touches.
-``eigenvalues`` is a general dense solver: it does not look for
+``spectra`` is the one QR core: it sweeps a stack of matrices in
+lockstep, so the bulges of all of them go through the same numpy calls.
+Each bulge-chase step forms every matrix's symmetric 3x3 Householder
+reflector (the closing 2x2 one embedded as ``diag(R, 1)``, the identity
+where the matrix's window does not reach) from Python floats and
+applies them with one stacked in-place product per side, to the rows
+and then the columns they touch.  A step costs numpy call overhead far
+more than arithmetic, so solving two matrices together takes about as
+many calls as solving one.  ``eigenvalues`` is ``spectra`` on one
+matrix.  Both are general dense solvers: they do not look for
 centrosymmetry.  ``centrolab spectrum`` solves the two Weaver blocks
-with it, while tests compare that against the full-matrix solve as an
-independent route.
+together in one ``spectra`` call, while tests compare that against the
+full-matrix solve as an independent route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
@@ -35,6 +41,7 @@ __all__ = [
     "balance",
     "eigenvalues",
     "hessenberg",
+    "spectra",
     "spectral_radial_cdf",
     "trace_power",
     "trace_powers",
@@ -158,15 +165,16 @@ def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
     return complex(half, root), complex(half, -root)
 
 
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
 def _householder(x: float, y: float, z: float | None = None):
     """Symmetric reflector ``R = I - tau v v^T`` mapping (x, y[, z]) onto +/- e1.
 
-    Returns R as a 3x3 array (2x2 without z), or None when the column
-    is zero.  The scalars are LAPACK ``dlarfg``'s: ``v[0] = 1``
-    and ``|v[i]| <= 1``, so nothing overflows, and every entry of R is
-    computed in Python floats and packed by one ``np.array`` call.
-    Rows are reflected in place by ``rows[...] = r @ rows``, columns by
-    ``cols[...] = cols @ r``: one numpy product per side.
+    Returns the nine row-major entries of a 3x3 matrix as Python floats;
+    without z, R is 2x2 and comes embedded as ``diag(R, 1)``.  Returns
+    None when the column is zero.  The scalars are LAPACK ``dlarfg``'s:
+    ``v[0] = 1`` and ``|v[i]| <= 1``, so nothing overflows.
     """
     beta = math.hypot(x, y) if z is None else math.hypot(x, y, z)
     if beta == 0.0:
@@ -178,13 +186,11 @@ def _householder(x: float, y: float, z: float | None = None):
     v1 = y / d
     t1 = tau * v1
     if z is None:
-        return np.array((1.0 - tau, -t1, -t1, 1.0 - t1 * v1)).reshape(2, 2)
+        return (1.0 - tau, -t1, 0.0, -t1, 1.0 - t1 * v1, 0.0, 0.0, 0.0, 1.0)
     v2 = z / d
     t2 = tau * v2
     t12 = t1 * v2
-    return np.array(
-        (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * v1, -t12, -t2, -t12, 1.0 - t2 * v2)
-    ).reshape(3, 3)
+    return (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * v1, -t12, -t2, -t12, 1.0 - t2 * v2)
 
 
 def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
@@ -201,106 +207,178 @@ def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
             i -= 2
 
 
-def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
-    """Full eigenvalue multiset of a real square matrix.
+def _reduce(mat) -> tuple[np.ndarray, int]:
+    """Balanced Hessenberg form of ``mat`` and the power of two it was scaled by.
 
-    Pipeline: ``balance`` -> ``hessenberg`` -> implicit double-shift QR
-    with deflation.  A balanced matrix whose largest entry lies outside
-    [2**-459, 2**459] is scaled by an exact power of two before the
-    Hessenberg reduction and its eigenvalues are scaled back, so entries
-    near the overflow or underflow limit neither overflow nor stall the
-    sweeps; any other input is solved exactly as it is.  Scaling after
-    balancing keeps the small entries of graded matrices, which scaling
-    the raw input by its largest entry would flush to zero.  A
-    subdiagonal entry h[i+1, i] is treated as zero when
-    ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
-    exceptional shift is used every 10 stalled sweeps and counted in
-    ``exceptional_shifts``.  ``max_sweeps`` caps the total sweep count
-    (default ``30 * n``); on exhaustion the result is flagged
-    ``converged=False`` with best-effort values.
+    A balanced matrix whose largest entry lies outside [2**-459, 2**459]
+    is scaled by ``2**-exp`` before the reduction; otherwise ``exp = 0``.
+    Entries of -0.0 become +0.0, as the identity steps of a stacked sweep
+    would turn them, so a solve alone and in a stack agree to the sign
+    of every zero.
     """
     a = _as_array(mat)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    if max_sweeps is None:
-        max_sweeps = 30 * n
-    values = np.empty(n, dtype=complex)
     b = balance(a)
+    b += 0.0
     amax = float(np.max(np.abs(b), initial=0.0))
     exp = math.frexp(amax)[1] if amax > _SAFE_MAX or 0.0 < amax < _SAFE_MIN else 0
-    h = hessenberg(np.ldexp(b, -exp) if exp else b)
+    return hessenberg(np.ldexp(b, -exp) if exp else b), exp
 
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    exceptional = 0
-    converged = True
-    while hi >= 0:
-        # search upward for a negligible subdiagonal bounding the active block
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if abs(h[lo, lo - 1]) <= _DEFLATE * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo >= hi - 1:  # a deflated 1x1 or 2x2 block
-            _peel_blocks(h, lo, hi, values)
-            hi = lo - 1
-            stall = 0
-            continue
-        if sweeps >= max_sweeps:
-            converged = False
-            _peel_blocks(h, 0, hi, values)
+
+def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: bool) -> list:
+    """First column (x, y, z) of the double-shift polynomial on window [lo, hi].
+
+    The shifts are the eigenvalues of the trailing 2x2 block, or with
+    ``adhoc`` an exceptional pair built from the stalled subdiagonal
+    magnitudes.
+    """
+    if adhoc:
+        mag = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+        shift_sum = 1.5 * mag
+        shift_prod = -0.4375 * mag * mag
+    else:
+        shift_sum = h[hi - 1, hi - 1] + h[hi, hi]
+        shift_prod = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
+    x = (
+        h[lo, lo] * h[lo, lo]
+        + h[lo, lo + 1] * h[lo + 1, lo]
+        - shift_sum * h[lo, lo]
+        + shift_prod
+    )
+    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
+    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+    return [x, y, z]
+
+
+def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
+    """Full eigenvalue multisets of real square matrices, solved in lockstep.
+
+    Each matrix goes through ``balance`` -> ``hessenberg`` -> implicit
+    double-shift QR with deflation, and its ``Spectrum`` is bitwise the
+    one it gets when solved alone (``eigenvalues``).  The Hessenberg
+    forms are zero-padded into one stack of the largest order plus one
+    spare row and column.  Each round, every unfinished matrix deflates
+    what it can and then makes one double-shift sweep on its own active
+    window [lo, hi], with its own shifts, stall counter, exceptional
+    shifts and sweep budget.  The bulges are chased together: at step k
+    every matrix whose window covers k gets its 3x3 reflector (the
+    closing 2x2 one embedded as ``diag(R, 1)``), every other matrix the
+    identity, and one stacked product per side applies them all.  The
+    rows and columns a stacked slice touches beyond a matrix's window
+    are never read again by eigenvalue-only QR, except column lo - 1,
+    whose three entries at and below the deflated h[lo, lo-1] are
+    zeroed so the reflector leaves them zero.
+
+    A balanced matrix whose largest entry lies outside [2**-459, 2**459]
+    is scaled by an exact power of two before the Hessenberg reduction
+    and its eigenvalues are scaled back, so entries near the overflow or
+    underflow limit neither overflow nor stall the sweeps; any other
+    input is solved exactly as it is.  Scaling after balancing keeps the
+    small entries of graded matrices, which scaling the raw input by its
+    largest entry would flush to zero.  A subdiagonal entry h[i+1, i] is
+    treated as zero when ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``;
+    an ad-hoc exceptional shift is used every 10 stalled sweeps and
+    counted in ``exceptional_shifts``.  ``max_sweeps`` caps each
+    matrix's sweep count (default ``30 * n`` for a matrix of order n);
+    on exhaustion that matrix is flagged ``converged=False`` with
+    best-effort values.
+    """
+    reduced = [_reduce(m) for m in mats]
+    orders = [h.shape[0] for h, _ in reduced]
+    size = max(orders, default=0) + 1
+    stack = np.zeros((len(reduced), size, size))
+    for padded, (h, _) in zip(stack, reduced):
+        padded[: h.shape[0], : h.shape[0]] = h
+    values = [np.empty(n, dtype=complex) for n in orders]
+    budgets = [30 * n if max_sweeps is None else max_sweeps for n in orders]
+    his = [n - 1 for n in orders]
+    sweeps = [0] * len(orders)
+    stalls = [0] * len(orders)
+    exceptional = [0] * len(orders)
+    converged = [True] * len(orders)
+    slots = list(range(len(orders)))  # stack[j] holds matrix slots[j]
+
+    while slots:
+        # one vectorized deflation test per round; peeling leaves it valid
+        top = max(his[m] for m in slots) + 1
+        diag = np.abs(stack.diagonal(0, 1, 2)[:, :top])
+        negligible = (
+            np.abs(stack.diagonal(-1, 1, 2)[:, : top - 1])
+            <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
+        ).tolist()
+        windows = []  # (slot, lo, hi) of each matrix that sweeps this round
+        for j, m in enumerate(slots):
+            h, hi, split = stack[j], his[m], negligible[j]
+            while hi >= 0:
+                # the lowest row of the active block: the first negligible subdiagonal above hi
+                lo = hi
+                while lo > 0 and not split[lo - 1]:
+                    lo -= 1
+                if lo < hi - 1:
+                    break
+                _peel_blocks(h, lo, hi, values[m])  # a deflated 1x1 or 2x2 block
+                hi = lo - 1
+                stalls[m] = 0
+            if hi >= 0:
+                if lo:  # column lo - 1 then stays zero under the stacked row products
+                    h[lo : lo + 3, lo - 1] = 0.0
+                if sweeps[m] >= budgets[m]:
+                    converged[m] = False
+                    _peel_blocks(h, 0, hi, values[m])
+                    hi = -1
+                else:
+                    windows.append((j, lo, hi))
+            his[m] = hi
+        if len(windows) < len(slots):  # drop the finished matrices from the stack
+            stack = stack[[j for j, _, _ in windows]]
+            slots = [slots[j] for j, _, _ in windows]
+            windows = [(i, lo, hi) for i, (_, lo, hi) in enumerate(windows)]
+        if not windows:
             break
 
-        sweeps += 1
-        stall += 1
-        if stall % _EXCEPTIONAL_EVERY == 0:
-            # ad-hoc shift built from the stalled subdiagonal magnitudes
-            exceptional += 1
-            mag = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            shift_sum = 1.5 * mag
-            shift_prod = -0.4375 * mag * mag
-        else:
-            shift_sum = h[hi - 1, hi - 1] + h[hi, hi]
-            shift_prod = (
-                h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-            )
+        chases = []  # (lo, hi, first bulge column) of stack[j]
+        for j, lo, hi in windows:
+            m = slots[j]
+            sweeps[m] += 1
+            stalls[m] += 1
+            adhoc = stalls[m] % _EXCEPTIONAL_EVERY == 0
+            exceptional[m] += adhoc
+            chases.append((lo, hi, _bulge(stack[j], lo, hi, adhoc)))
+        k0 = min(lo for lo, _, _ in chases)
+        k1 = max(hi for _, hi, _ in chases)
+        r = np.empty((len(chases), 3, 3))
+        r_entries = r.reshape(-1)
+        # chase every bulge down its window; step k is the identity outside [lo, hi)
+        for k in range(k0, k1):
+            entries = []
+            for j, (lo, hi, first) in enumerate(chases):
+                if lo <= k < hi:
+                    x, y, z = first if k == lo else column[j]
+                    entries += _householder(x, y, z if k < hi - 1 else None) or _IDENTITY
+                else:
+                    entries += _IDENTITY
+            r_entries[:] = entries
+            rows = stack[:, k : k + 3, max(k0, k - 1) : k1 + 1]
+            rows[...] = r @ rows
+            cols = stack[:, k0 : min(k + 4, k1 + 1), k : k + 3]
+            cols[...] = cols @ r
+            column = stack[:, k + 1 : k + 4, k].tolist()  # the bulge each step k + 1 reflects
 
-        # first column of (H - l1 I)(H - l2 I) restricted to the window
-        x = (
-            h[lo, lo] * h[lo, lo]
-            + h[lo, lo + 1] * h[lo + 1, lo]
-            - shift_sum * h[lo, lo]
-            + shift_prod
+    out = []
+    for vals, (_, exp), n_sweeps, ok, n_exc in zip(values, reduced, sweeps, converged, exceptional):
+        if exp:
+            vals.real = np.ldexp(vals.real, exp)
+            vals.imag = np.ldexp(vals.imag, exp)
+        out.append(
+            Spectrum(values=vals, iterations=n_sweeps, converged=ok, exceptional_shifts=n_exc)
         )
-        y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
-        z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+    return out
 
-        # 3x3 reflectors chase the bulge down; the last step (z = None) is 2x2
-        for k in range(lo, hi):
-            r = _householder(x, y, z)
-            if r is not None:
-                rows = h[k : k + len(r), max(lo, k - 1) : hi + 1]
-                rows[...] = r @ rows
-                cols = h[lo : min(k + len(r) + 1, hi + 1), k : k + len(r)]
-                cols[...] = cols @ r
-            if k < hi - 1:
-                x = h.item(k + 1, k)
-                y = h.item(k + 2, k)
-                z = h.item(k + 3, k) if k < hi - 2 else None
 
-    if exp:
-        values.real = np.ldexp(values.real, exp)
-        values.imag = np.ldexp(values.imag, exp)
-    return Spectrum(
-        values=values,
-        iterations=sweeps,
-        converged=converged,
-        exceptional_shifts=exceptional,
-    )
+def eigenvalues(mat, max_sweeps: int | None = None) -> Spectrum:
+    """Full eigenvalue multiset of a real square matrix: ``spectra([mat], max_sweeps)[0]``."""
+    return spectra([mat], max_sweeps)[0]
 
 
 def trace_power(mat, k: int) -> float:

@@ -270,18 +270,41 @@ def les_analytic(spec: Spectrum, f) -> complex:
     return complex(np.sum(f(spec.values)))
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x * 2**-e`` and ``e``, the ``frexp`` exponent of max|x|.
+
+    The scaled entries have magnitude below 1 and the largest at least
+    1/2, so their squares and sums of squares neither overflow nor
+    vanish.  Scaling by a power of two is exact, so a statistic of
+    degree p computed on the scaled samples and multiplied by ``2**(p*e)``
+    is bitwise the unscaled one wherever that stays in the normal range.
+    """
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    return np.ldexp(x, -e), e
+
+
+def _variance(x: np.ndarray) -> float:
+    """Unbiased sample variance of real samples, computed at unit scale."""
+    scaled, e = _unit_scaled(x)
+    return float(np.ldexp(scaled.var(ddof=1), 2 * e))
+
+
 def ks_statistic(samples) -> float:
     """Kolmogorov-Smirnov distance of standardized samples to N(0, 1).
 
     Samples are shifted and scaled by their own mean and (unbiased)
     standard deviation first, so the statistic is invariant under affine
-    shifts of the input.  For the sorted standardized values z_1..z_n it
-    is ``max_i max(i/n - Phi(z_i), Phi(z_i) - (i-1)/n)`` with
+    shifts of the input; they are brought to unit scale by an exact power
+    of two before that, so the invariance holds at any magnitude, where
+    their squares would overflow or underflow.  For the sorted
+    standardized values z_1..z_n it is
+    ``max_i max(i/n - Phi(z_i), Phi(z_i) - (i-1)/n)`` with
     ``Phi(z) = erfc(-z/sqrt(2))/2``.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise DiagnosticError("need at least two samples")
+    x, _ = _unit_scaled(x)
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise DiagnosticError("zero sample variance; cannot standardize")
@@ -336,17 +359,19 @@ def run_clt(
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     start = time.perf_counter()
+    theoretical = closed_form_variance(f)  # a ConfigError here costs no trial
     traces = _trial_traces(n, trials, f.degree, dist, master_seed, threads)
     values = _les_values(traces, f, n)
     centered = values - values.mean()
     if f.is_real:
-        empirical = float(values.var(ddof=1))
+        empirical = _variance(values)
         var_re = var_im = None
         ks = ks_statistic(centered)
     else:
-        empirical = float(np.sum(np.abs(centered) ** 2) / (trials - 1))
-        var_re = float(values.real.var(ddof=1))
-        var_im = float(values.imag.var(ddof=1))
+        moduli, e = _unit_scaled(np.abs(centered))
+        empirical = float(np.ldexp(np.sum(moduli**2) / (trials - 1), 2 * e))
+        var_re = _variance(values.real)
+        var_im = _variance(values.imag)
         ks = ks_statistic(centered.real)
     return CltReport(
         n=n,
@@ -354,7 +379,7 @@ def run_clt(
         f=f,
         samples=centered,
         empirical_variance=empirical,
-        theoretical_variance=closed_form_variance(f),
+        theoretical_variance=theoretical,
         ks_statistic=ks,
         dist=dist,
         seed=master_seed,

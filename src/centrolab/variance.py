@@ -56,11 +56,14 @@ def closed_form_variance(f: Polynomial) -> float:
 
     The constant coefficient a_0 is ignored: adding a constant to the
     test function shifts every sample identically and does not
-    fluctuate.
+    fluctuate.  Raises ``ConfigError`` when the sum overflows.
     """
     if f.degree < 1:
         raise ConfigError("variance of a constant test function is degenerate (0)")
-    return float(sum(2.0 * k * abs(c) ** 2 for k, c in enumerate(f.coeffs) if k >= 1))
+    total = float(sum(2.0 * k * (abs(c) * abs(c)) for k, c in enumerate(f.coeffs) if k >= 1))
+    if not math.isfinite(total):
+        raise ConfigError(f"limiting variance of f overflows ({total})")
+    return total
 
 
 def _check_poles(z, eta_bar, variant: KernelVariant) -> None:

@@ -96,13 +96,14 @@ class TestSpectrum:
     def test_unconverged_block_exits_3_with_full_output(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def minus_block_stalls(mat):
-            calls.append(mat.shape[0])
-            return cl.eigenvalues(mat, max_sweeps=0 if len(calls) == 2 else None)
+        def minus_block_stalls(mats):
+            calls.append([m.shape[0] for m in mats])
+            plus, _ = cl.spectra(mats)
+            return [plus, cl.eigenvalues(mats[1], max_sweeps=0)]
 
-        monkeypatch.setattr(cli, "eigenvalues", minus_block_stalls)
+        monkeypatch.setattr(cli, "spectra", minus_block_stalls)
         assert main(["spectrum", "--n", "12", "--seed", "3", "--out", str(tmp_path)]) == EXIT_SOLVER
-        assert calls == [6, 6]
+        assert calls == [[6, 6]]
         assert capsys.readouterr().err.startswith("solver error:")
         payload = json.loads((tmp_path / "radial_n12_gaussian_seed3.json").read_text())
         assert payload["converged"] is False
@@ -171,6 +172,21 @@ class TestClt:
         rows = (tmp_path / "clt_n1_gaussian_seed1_hist.csv").read_text().splitlines()[1:]
         assert 1 <= len(rows) <= 1000
         assert sum(int(row.split(",")[2]) for row in rows) == 1000
+
+
+    def test_huge_coefficient_reports_the_unit_ks(self, tmp_path):
+        # the samples are 1e153 times those of f = z: their squares overflow
+        ks = []
+        for f in ("0,1", "0,1e153"):
+            out = tmp_path / f
+            assert run(["clt", "--n", 2, "--trials", 750, "--f", f, "--out", out]) == 0
+            ks.append(json.loads((out / "clt_n2_gaussian_seed1.json").read_text())["ks"])
+        assert ks[1] == ks[0] < 0.1
+
+    def test_tiny_coefficient_runs(self, tmp_path):
+        # the samples' squares underflow to zero
+        assert run(["clt", "--n", 3, "--trials", 3, "--f", "0,1e-200", "--out", tmp_path]) == 0
+        assert (tmp_path / "clt_n3_gaussian_seed1.json").exists()
 
 
 class TestMoments:
@@ -312,6 +328,12 @@ class TestBadInput:
             pytest.param(["variance", "--f", "0,1", "--n", "5"], id="flag-not-read"),
             pytest.param(["variance", "--f", "0,1", "--node", "12"], id="abbreviated-flag"),
             pytest.param(["sample", "--n", "2", "--f", "0,0,0"], id="sample-f"),
+            pytest.param(["variance", "--f", "0,1e200"], id="variance-coefficient-squared-overflows"),
+            pytest.param(
+                ["clt", "--n", "1", "--trials", "4", "--f", "0,1e200"],
+                id="clt-coefficient-squared-overflows",
+            ),
+            pytest.param(["variance", "--f", "0,1e154"], id="variance-sum-overflows"),
             pytest.param(
                 ["variance", "--f", "0,1", "--radius", "1.0000000001"], id="radius-at-pole"
             ),

@@ -159,10 +159,14 @@ class TestHouseholder:
         ],
     )
     def test_symmetric_involution_mapping_onto_e1(self, col):
-        r = _householder(*col)
+        entries = _householder(*col)
+        assert len(entries) == 9 and all(type(e) is float for e in entries)
+        full = np.array(entries).reshape(3, 3)
         x = np.array(col)
         norm = math.hypot(*col)
-        assert r.shape == (x.size, x.size)
+        r = full[: x.size, : x.size]
+        if x.size == 2:  # the 2x2 reflector comes embedded as diag(R, 1)
+            assert full[2].tolist() == [0.0, 0.0, 1.0] and full[:2, 2].tolist() == [0.0, 0.0]
         assert np.array_equal(r, r.T)
         assert np.max(np.abs(r @ r - np.eye(x.size))) <= 4 * _EPS
         image = r @ x
@@ -172,6 +176,74 @@ class TestHouseholder:
     def test_zero_column_has_no_reflector(self):
         assert _householder(0.0, 0.0) is None
         assert _householder(0.0, 0.0, 0.0) is None
+
+
+def _solve_key(s):
+    return s.values.tobytes(), s.iterations, s.exceptional_shifts, s.converged
+
+
+class TestSpectra:
+    """``spectra`` solves a stack in lockstep, bitwise as each matrix alone."""
+
+    def test_mixed_orders_match_solo_solves(self):
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal((n, n)) for n in (1, 2, 3, 7, 20, 41)]
+        mats.append(cl.sample_centro(30, "uniform", 4).entries)
+        mats.append(np.roll(np.eye(7), 1, 0))  # stalls into exceptional shifts
+        mats.append(np.zeros((0, 0)))
+        got = cl.spectra(mats)
+        assert len(got) == len(mats)
+        assert got[7].exceptional_shifts > 0
+        for a, s in zip(mats, got):
+            assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
+
+    @pytest.mark.parametrize("split", [2, 5, 9])
+    def test_lower_window_beside_a_full_window(self, split):
+        # block upper triangular: the lower window starts at row ``split``,
+        # stacked beside matrices whose first window starts at row 0
+        rng = np.random.default_rng(split)
+        tri = rng.standard_normal((14, 14))
+        tri[split:, :split] = 0.0
+        assert cl.hessenberg(tri)[split, split - 1] == 0.0
+        mats = [rng.standard_normal((14, 14)), tri, rng.standard_normal((9, 9))]
+        for a, s in zip(mats, cl.spectra(mats)):
+            assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
+
+    def test_zero_budget_flags_every_matrix(self):
+        mats = [cl.sample_centro(n, "gaussian", n).entries for n in (3, 6, 11)]
+        got = cl.spectra(mats, max_sweeps=0)
+        for a, s in zip(mats, got):
+            assert not s.converged and s.iterations == 0
+            assert s.values.shape == (a.shape[0],)
+            assert _solve_key(s) == _solve_key(cl.eigenvalues(a, max_sweeps=0))
+
+    def test_weaver_blocks_match_solo_solves(self):
+        for n in (12, 13, 64):
+            blocks = cl.weaver_blocks(cl.sample_centro(n, "gaussian", 2))
+            plus, minus = cl.spectra([blocks.plus, blocks.minus])
+            assert _solve_key(plus) == _solve_key(cl.eigenvalues(blocks.plus))
+            assert _solve_key(minus) == _solve_key(cl.eigenvalues(blocks.minus))
+
+    def test_negative_zero_entries_match_solo_solves(self):
+        # Hessenberg inputs, half their entries -0.0: an identity step turns
+        # -0.0 into +0.0, and zero eigenvalues kept the sign they met
+        rng = np.random.default_rng(13)
+        mats = []
+        for n in (4, 8, 12):
+            a = rng.standard_normal((n, n))
+            a[rng.random((n, n)) < 0.5] = -0.0
+            mats.append(np.triu(a, -1))
+        for a, s in zip(mats, cl.spectra(mats)):
+            assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
+
+    def test_empty_list(self):
+        assert cl.spectra([]) == []
+
+    def test_rejects_a_bad_matrix_before_solving(self):
+        with pytest.raises(ValueError):
+            cl.spectra([np.eye(3), np.zeros((2, 3))])
+        with pytest.raises(ValueError):
+            cl.spectra([np.eye(3), np.array([[np.inf]])])
 
 
 class TestStallsAndScale:

@@ -174,6 +174,12 @@ class TestKsStatistic:
         x = np.random.default_rng(2).standard_normal(500)
         assert cl.ks_statistic(x) == pytest.approx(cl.ks_statistic(x + 7.5), abs=1e-9)
 
+    @pytest.mark.parametrize("power", [-700, 0, 600])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # at 2**600 the squares overflowed (ks 0.5), at 2**-700 they vanished
+        x = np.random.default_rng(2).standard_normal(500)
+        assert cl.ks_statistic(np.ldexp(x, power)) == cl.ks_statistic(x)
+
     def test_two_point_sample_far_from_normal(self):
         assert cl.ks_statistic(np.array([-1.0, 1.0] * 50)) >= 0.3
 
@@ -198,9 +204,10 @@ class TestKsStatistic:
         from scipy import stats
 
         x = np.array(x)
-        sd = x.std(ddof=1)
-        assume(sd > 0.0)
-        expected = stats.kstest((x - x.mean()) / sd, "norm").statistic
+        assume(x.std(ddof=1) > 0.0)
+        # standardized at unit scale, where the squares of tiny samples keep their bits
+        u = np.ldexp(x, -math.frexp(np.max(np.abs(x)))[1])
+        expected = stats.kstest((u - u.mean()) / u.std(ddof=1), "norm").statistic
         assert cl.ks_statistic(x) == pytest.approx(expected, abs=1e-14)
 
     def test_ties_match_scipy_kstest(self):

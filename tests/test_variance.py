@@ -57,6 +57,13 @@ class TestClosedForm:
     def test_complex_coefficients_use_modulus(self):
         assert cl.closed_form_variance(cl.Polynomial([0, 3 + 4j])) == 50.0
 
+    @pytest.mark.parametrize("coeffs", [[0, 1e200], [0, 1e154], [0, 1e150j, 0, 0, 0, 1e154]])
+    def test_overflow_is_config_error(self, coeffs):
+        # |1e200|**2 raised OverflowError; 2 * 1e154**2 summed to inf
+        with pytest.raises(cl.ConfigError):
+            cl.closed_form_variance(cl.Polynomial(coeffs))
+        assert cl.closed_form_variance(cl.Polynomial([0, 1e153])) == 2.0 * (1e153 * 1e153)
+
     @settings(max_examples=30, deadline=None)
     @given(
         coeffs=st.lists(
