@@ -23,8 +23,8 @@ def main():
     print(f"{'f':>16}  {'closed':>10}  {'diag quad':>12}  {'full quad':>12}  {'full gap':>10}")
     for f in cases:
         report = cl.variance_report(f, radius=1.5, nodes=256)
-        diag = report.quadrature["diagonal"].value.real
-        full = report.quadrature["full"].value.real
+        diag = report.quadrature["diagonal"].real
+        full = report.quadrature["full"].real
         print(
             f"{f.label():>16}  {report.closed_form:10.4f}  {diag:12.6f}  "
             f"{full:12.6f}  {report.discrepancy['full']:10.3e}"

@@ -213,10 +213,7 @@ def cmd_clt(cfg: SimpleNamespace) -> int:
     }
     stem = f"clt_n{cfg.n}_{cfg.dist}_seed{cfg.seed}"
     json_path = io.write_json(out / f"{stem}.json", payload)
-    hist_path = io.write_histogram_csv(
-        out / f"{stem}_hist.csv",
-        report.samples.real if np.iscomplexobj(report.samples) else report.samples,
-    )
+    hist_path = io.write_histogram_csv(out / f"{stem}_hist.csv", report.samples)
     print(f"{json_path} {hist_path}")
     return EXIT_OK
 
@@ -271,16 +268,11 @@ def cmd_variance(cfg: SimpleNamespace) -> int:
     payload = {
         "f": f.coefficient_list(),
         "closed_form": report.closed_form,
+        "radius": report.radius,
+        "nodes": report.nodes,
         "quadrature": {
-            tag: {
-                "variant": q.variant,
-                "radius": q.radius,
-                "nodes": q.nodes,
-                "value_re": q.value.real,
-                "value_im": q.value.imag,
-                "warning": q.warning,
-            }
-            for tag, q in report.quadrature.items()
+            tag: {"value_re": value.real, "value_im": value.imag}
+            for tag, value in report.quadrature.items()
         },
         "discrepancy": report.discrepancy,
     }

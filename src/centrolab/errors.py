@@ -6,6 +6,14 @@ the configuration asked for is a config error, exit 1.  Library callers
 catch them like any other exception.
 """
 
+__all__ = [
+    "BudgetExceededError",
+    "ConfigError",
+    "DiagnosticError",
+    "SingularityError",
+    "SolverConvergenceError",
+]
+
 
 class ConfigError(ValueError):
     """Invalid run configuration or unsupported option."""

@@ -221,7 +221,8 @@ def _trial_traces(
     ``[0, 2**64)``, are checked before any seed is hashed or worker
     started.  The PCG64 states of all trials come from one vectorized
     seed hash; each stack keeps one generator and sets it to each of its
-    trials' states before drawing that trial's row.
+    trials' states before drawing that trial's row.  A trace past the
+    double range is inf or nan, without a warning in any worker thread.
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
@@ -236,7 +237,8 @@ def _trial_traces(
         rng = np.random.Generator(np.random.PCG64(0))
         draws = np.empty((len(stack), class_count(n)))
         _draw(rng, n, dist, draws, map(_pcg64_state, stack))
-        return _draw_traces(draws, n, k_max)
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread
+            return _draw_traces(draws, n, k_max)
 
     return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
 
@@ -257,8 +259,6 @@ def les_polynomial(m: CentroMatrix, f: Polynomial):
     products only.  Returns a float for real coefficients, complex
     otherwise.
     """
-    if f.degree < 1:
-        raise ValueError("test polynomial must have degree at least 1")
     cells = m.entries.reshape(1, m.n * m.n)
     return _les_values(_draw_traces(cells, m.n, f.degree)[0], f, m.n)
 
@@ -354,25 +354,29 @@ def run_clt(
     evaluates L_n(f) through the trace path; centering subtracts the
     across-trial sample mean (the finite-n expectation estimate), and
     the unbiased sample variance is reported next to the closed-form
-    limiting variance.
+    limiting variance.  A sample or sample variance past the double
+    range raises ``ConfigError``.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     start = time.perf_counter()
     theoretical = closed_form_variance(f)  # a ConfigError here costs no trial
     traces = _trial_traces(n, trials, f.degree, dist, master_seed, threads)
-    values = _les_values(traces, f, n)
-    centered = values - values.mean()
-    if f.is_real:
-        empirical = _variance(values)
-        var_re = var_im = None
-        ks = ks_statistic(centered)
-    else:
-        moduli, e = _unit_scaled(np.abs(centered))
-        empirical = float(np.ldexp(np.sum(moduli**2) / (trials - 1), 2 * e))
-        var_re = _variance(values.real)
-        var_im = _variance(values.imag)
-        ks = ks_statistic(centered.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        values = _les_values(traces, f, n)
+        centered = values - values.mean()
+        if f.is_real:
+            empirical = _variance(values)
+            var_re = var_im = None
+        else:
+            moduli, e = _unit_scaled(np.abs(centered))
+            empirical = float(np.ldexp(np.sum(moduli**2) / (trials - 1), 2 * e))
+            var_re = _variance(values.real)
+            var_im = _variance(values.imag)
+    variances = [empirical] if f.is_real else [empirical, var_re, var_im]
+    if not (np.isfinite(centered).all() and np.isfinite(variances).all()):
+        raise ConfigError(f"L_n(f) or its sample variance overflows the double range at n={n}")
+    ks = ks_statistic(centered.real)
     return CltReport(
         n=n,
         trials=trials,
@@ -433,9 +437,15 @@ class MomentReport:
         raise KeyError(f"no moment entry for k={k}, l={l}")
 
 
-def _moment_entry(values: np.ndarray, k: int, l: int | None) -> MomentEntry:
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size))
+def _moment_entry(traces: np.ndarray, k: int, l: int | None) -> MomentEntry:
+    """E[Tr M^k], or E[Tr M^k Tr M^l], from rows of traces Tr M^1 .. M^k_max."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        values = traces[:, k - 1] if l is None else traces[:, k - 1] * traces[:, l - 1]
+        est = float(values.mean())
+        se = float(values.std(ddof=1) / np.sqrt(values.size))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        chain = f"Tr M^{k}" if l is None else f"Tr M^{k} Tr M^{l}"
+        raise ConfigError(f"E[{chain}] or its standard error overflows the double range")
     target = moment_target(k, l)
     z = (est - target) / se if se > 0 else float("inf")
     return MomentEntry(
@@ -456,19 +466,18 @@ def moment_suite(
     One matrix per trial (derived seeds as in ``run_clt``); per-trial
     traces of M^1..M^k_max feed estimates of E[Tr M^k] for k <= k_max
     and E[Tr M^k Tr M^l] for all k <= l <= k_max, each with standard
-    error and z-score against its asymptotic target.
+    error and z-score against its asymptotic target.  An estimate or
+    standard error past the double range raises ``ConfigError``.
     """
     if k_max < 2:
         raise ConfigError(f"need k_max >= 2, got {k_max}")
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     traces = _trial_traces(n, trials, k_max, dist, master_seed, threads)
-    entries: list[MomentEntry] = []
-    for k in range(1, k_max + 1):
-        entries.append(_moment_entry(traces[:, k - 1], k, None))
-    for k in range(1, k_max + 1):
-        for l in range(k, k_max + 1):
-            entries.append(_moment_entry(traces[:, k - 1] * traces[:, l - 1], k, l))
+    entries = [_moment_entry(traces, k, None) for k in range(1, k_max + 1)]
+    entries += [
+        _moment_entry(traces, k, l) for k in range(1, k_max + 1) for l in range(k, k_max + 1)
+    ]
     return MomentReport(
         n=n, trials=trials, k_max=k_max, dist=dist, seed=master_seed, entries=entries
     )

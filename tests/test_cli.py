@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
-from centrolab import cli, io
+from centrolab import cli, fluctuation, io
 from centrolab.cli import EXIT_SOLVER, _COMMANDS, SETTINGS, _configure, main, parse_config_file
 
 from _helpers import multiset_gap
@@ -257,10 +257,13 @@ class TestVariance:
         payload = json.loads((tmp_path / "variance_report.json").read_text())
         assert payload["closed_form"] == 164.0
 
-    def test_low_node_count_warns_in_json(self, tmp_path):
+    def test_quadrature_settings_stated_once(self, tmp_path):
         run(["variance", "--f", "0,0,1,0,0,4", "--nodes", 12, "--out", tmp_path])
         payload = json.loads((tmp_path / "variance_report.json").read_text())
-        assert payload["quadrature"]["diagonal"]["warning"]
+        assert payload["nodes"] == 12
+        assert payload["radius"] == 1.5
+        for entry in payload["quadrature"].values():
+            assert set(entry) == {"value_re", "value_im"}
 
     def test_radius_below_one_is_config_error(self):
         assert run(["variance", "--f", "0,1", "--radius", 0.5]) == 1
@@ -345,6 +348,17 @@ class TestBadInput:
                 ["oracle", "--n_list", "30", "--k_list", "40", "--budget", str(10**60)],
                 id="oracle-budget-past-int64",
             ),
+            pytest.param(["variance", "--f", "1"], id="f-constant"),
+            pytest.param(
+                ["clt", "--n", "4", "--trials", "3", "--f", "0,1,0"], id="f-zero-leading"
+            ),
+            pytest.param(
+                ["moments", "--n", "2", "--trials", "3", "--kmax", "200"],
+                id="moments-statistics-overflow",
+            ),
+            pytest.param(
+                ["clt", "--n", "2", "--trials", "3", "--f", "1e308,1"], id="clt-statistic-overflows"
+            ),
         ],
     )
     def test_exits_1_without_output(self, argv, tmp_path, monkeypatch, capsys):
@@ -352,6 +366,24 @@ class TestBadInput:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["moments", "--kmax", "2000"], id="moments"),
+            pytest.param(["clt", "--f", ",".join(["0"] * 2000 + ["1"])], id="clt-z^2000"),
+        ],
+    )
+    def test_traces_overflowing_in_worker_threads_exit_1(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # one trial per stack, so two worker threads trace; the first trial's
+        # eigenvalue 3.17 overflows its 1000th power
+        monkeypatch.setattr(fluctuation, "_stack_size", lambda n: 1)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--n", "2", "--trials", "3", "--threads", "2"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centrolab as cl
-from centrolab.variance import KernelVariant, min_nodes
+from centrolab.variance import KernelVariant
 
 
 def coefficient_projection(f: cl.Polynomial, variant: KernelVariant) -> float:
@@ -193,12 +193,13 @@ class TestVarianceReport:
         assert report.closed_form == 4.0
         assert report.discrepancy["full"] == pytest.approx(4.0, abs=1e-8)
 
-    def test_low_node_count_warns(self):
-        f = cl.Polynomial([0, 0, 1, 0, 0, 4])
-        report = cl.variance_report(f, nodes=min_nodes(f) - 1)
-        assert all(q.warning for q in report.quadrature.values())
-        report = cl.variance_report(f, nodes=min_nodes(f))
-        assert all(q.warning is None for q in report.quadrature.values())
+    def test_diagonal_discrepancy_measures_roundoff_at_high_degree(self):
+        f = cl.Polynomial([0] * 40 + [1])
+        report = cl.variance_report(f)
+        assert (report.radius, report.nodes) == (1.5, 256)
+        assert report.discrepancy["diagonal"] > 1e-6
+        report = cl.variance_report(f, radius=1.05, nodes=2048)
+        assert report.discrepancy["diagonal"] < 1e-10
 
 
 class TestResolventSeries:
