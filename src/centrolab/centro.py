@@ -215,7 +215,7 @@ class WeaverBlocks:
     minus: np.ndarray
 
 
-def _weaver_split(cells: np.ndarray, n: int) -> WeaverBlocks:
+def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks | None = None) -> WeaverBlocks:
     """Weaver blocks of order-``n`` centrosymmetric matrices from their
     row-major cells, shape ``(..., c)`` with ``c >= class_count(n)``.
 
@@ -225,21 +225,24 @@ def _weaver_split(cells: np.ndarray, n: int) -> WeaverBlocks:
     With A and B the left and right h columns of the top rows,
     ``plus = A + B J`` and ``minus = A - B J``; the odd-n border of
     ``plus`` is ``sqrt(2) u`` (column h of the top rows), ``sqrt(2) p^T``
-    (the middle row before the center) and ``q`` (the center).
+    (the middle row before the center) and ``q`` (the center).  The
+    blocks are written into ``out`` when given (arrays of the blocks'
+    shapes), else into new arrays.
     """
     h = n // 2
-    top = cells[..., : h * n].reshape(cells.shape[:-1] + (h, n))
+    lead = cells.shape[:-1]
+    if out is None:
+        out = WeaverBlocks(plus=np.empty(lead + (n - h, n - h)), minus=np.empty(lead + (h, h)))
+    top = cells[..., : h * n].reshape(lead + (h, n))
     A = top[..., :h]
     bj = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
-    minus = A - bj
-    if n % 2 == 0:
-        return WeaverBlocks(plus=A + bj, minus=minus)
-    plus = np.empty(cells.shape[:-1] + (h + 1, h + 1))
-    plus[..., :h, :h] = A + bj
-    plus[..., :h, h] = math.sqrt(2.0) * top[..., h]
-    plus[..., h, :h] = math.sqrt(2.0) * cells[..., h * n : h * n + h]
-    plus[..., h, h] = cells[..., h * n + h]
-    return WeaverBlocks(plus=plus, minus=minus)
+    np.add(A, bj, out=out.plus[..., :h, :h])
+    np.subtract(A, bj, out=out.minus)
+    if n % 2 == 1:
+        np.multiply(top[..., h], math.sqrt(2.0), out=out.plus[..., :h, h])
+        np.multiply(cells[..., h * n : h * n + h], math.sqrt(2.0), out=out.plus[..., h, :h])
+        out.plus[..., h, h] = cells[..., h * n + h]
+    return out
 
 
 def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:

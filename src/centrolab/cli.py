@@ -10,7 +10,8 @@ the same parse and check.  Every command is deterministic given its
 configuration (the ``runtime_seconds`` report field excluded).
 
 Exit codes: 0 ok, 1 config or usage (a contour radius whose nodes hit a
-kernel pole included), 2 I/O, 3 solver, 4 enumeration budget.
+kernel pole, and a test function whose samples are all equal, included),
+2 I/O, 3 solver, 4 enumeration budget.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import numpy as np
 from . import io
 from .centro import DISTRIBUTIONS, assert_centrosymmetric, sample_centro, weaver_blocks
 from .eig import Spectrum, spectra, spectral_radial_cdf, trace_power
-from .errors import BudgetExceededError, ConfigError, SingularityError, SolverConvergenceError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    DiagnosticError,
+    SingularityError,
+    SolverConvergenceError,
+)
 from .fluctuation import moment_suite, run_clt
 from .oracle import DEFAULT_TERM_BUDGET, convergence_table
 from .poly import Polynomial
@@ -334,7 +341,7 @@ def main(argv=None) -> int:
     try:
         run, cfg = _configure(argv)
         return run(cfg)
-    except (ConfigError, SingularityError) as exc:  # a contour node on a kernel pole
+    except (ConfigError, SingularityError, DiagnosticError) as exc:  # pole hit, equal samples
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

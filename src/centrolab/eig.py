@@ -20,13 +20,21 @@ full-matrix solve as an independent route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
-``(..., n, n)`` stack it forms only the half powers A^2 .. A^ceil(k/2)
-and reads ``Tr A^k = sum(A^i * (A^j)^T)`` (i + j = k) off two of them.
-The Monte Carlo engine applies it to the two Weaver blocks P and Q of a
-centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``, which needs about
-an eighth of the flops of dense powers of M.  ``trace_power`` (repeated
-multiplication of the full matrix with one final trace) is the dense
-reference that tests and benchmark checks compare the core against.
+``(..., n, n)`` stack it forms only the half powers A^2 .. A^h,
+h = ceil(k/2), reads Tr A^1 .. A^h off their diagonals and
+``Tr A^k = sum(A^i * (A^j)^T)`` (i + j = k) off two of them.  Odd powers
+above A^1 are stored transposed, written through a transposed view of
+their buffer, so two stored powers of opposite layouts give Tr A^k as a
+dot of two contiguous flattened arrays; only a pair of the same layout
+(Tr A^6 = Tr A^3 A^3) is reduced over a transposed operand.  The dots
+are ``einsum`` reductions, not BLAS calls, since a BLAS dot splits its
+sum by the BLAS thread count.  ``_trace_core`` does the work in power
+buffers its caller may keep: the Monte Carlo engine applies it to the
+two Weaver blocks P and Q of a centrosymmetric matrix,
+``Tr M^k = Tr P^k + Tr Q^k``, which needs about an eighth of the flops
+of dense powers of M.  ``trace_power`` (repeated multiplication of the
+full matrix with one final trace) is the dense reference that tests and
+benchmark checks compare the core against.
 """
 
 from __future__ import annotations
@@ -396,27 +404,68 @@ def trace_power(mat, k: int) -> float:
     return float(np.trace(p))
 
 
+def _trace_core(a: np.ndarray, k_max: int, pool=None) -> np.ndarray:
+    """Traces of A^1 .. A^k_max for a C-contiguous ``(..., m, m)`` stack ``a``.
+
+    The half powers A^2 .. A^h, ``h = ceil(k_max / 2)``, go into the
+    leading ``a.size`` entries of the flat buffers ``pool[0] .. pool[h-2]``
+    (new ones when ``pool`` is None).  Even powers are stored as they are,
+    odd ones transposed: the product writes through a transposed view of
+    the buffer, at the cost of a plain one.  Tr A^1 .. A^h are diagonal
+    sums.  Each higher Tr A^k is ``sum(A^i * (A^j)^T)`` for a split
+    ``i + j = k`` into stored powers; when their stored layouts differ,
+    that is a dot of the two flattened contiguous buffers.  Only where no
+    split has differing layouts, for every k above h when h <= 2 and for
+    even k above h + 1 otherwise (Tr A^6 at k_max = 6), does the
+    reduction read one operand transposed.
+    """
+
+    def transposed(i: int) -> bool:
+        return i % 2 == 1 and i > 1
+
+    def power(i: int) -> np.ndarray:
+        return stored[i].swapaxes(-1, -2) if transposed(i) else stored[i]
+
+    h = (k_max + 1) // 2
+    if pool is None:
+        pool = [np.empty(a.size) for _ in range(h - 1)]
+    stored = [None, a]  # stored[i] is A^i, or its transpose for odd i >= 3
+    for i in range(2, h + 1):
+        buf = pool[i - 2][: a.size].reshape(a.shape)
+        np.matmul(power(i - 1), a, out=buf.swapaxes(-1, -2) if transposed(i) else buf)
+        stored.append(buf)
+
+    flat = a.shape[:-2] + (a.shape[-1] ** 2,)
+    out = np.empty(a.shape[:-2] + (k_max,))
+    for k in range(1, k_max + 1):
+        if k <= h:
+            out[..., k - 1] = np.trace(stored[k], axis1=-2, axis2=-1)
+            continue
+        half = (k + 1) // 2
+        i = next((i for i in range(half, h + 1) if transposed(i) != transposed(k - i)), half)
+        if transposed(i) != transposed(k - i):
+            x, y = stored[i].reshape(flat), stored[k - i].reshape(flat)
+            out[..., k - 1] = np.einsum("...i,...i->...", x, y)
+        else:
+            out[..., k - 1] = np.einsum("...ij,...ji->...", stored[i], stored[k - i])
+    return out
+
+
 def trace_powers(mat, k_max: int) -> np.ndarray:
     """Traces of A^1 .. A^k_max for a real matrix or a ``(..., n, n)`` stack.
 
     Forms the half powers A^2 .. A^h with ``h = ceil(k_max / 2)``, that is
-    ``h - 1`` products, and reads each trace off two of them:
-    ``Tr A^k = sum(A^i * (A^j)^T)`` with ``i = ceil(k/2)``, ``j = floor(k/2)``.
-    Returns shape ``(..., k_max)``; Tr A^1 is the diagonal sum.
+    ``h - 1`` products, and reads each trace above A^h off two of them,
+    ``Tr A^k = sum(A^i * (A^j)^T)`` with ``i + j = k``.  Returns shape
+    ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  The work and the
+    storage layouts are ``_trace_core``'s.
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
-    powers = [None, a]  # powers[i] is A^i
-    for _ in range((k_max + 1) // 2 - 1):
-        powers.append(powers[-1] @ a)
-    out = np.empty(a.shape[:-2] + (k_max,))
-    out[..., 0] = np.trace(a, axis1=-2, axis2=-1)
-    for k in range(2, k_max + 1):
-        out[..., k - 1] = np.einsum("...ij,...ji->...", powers[(k + 1) // 2], powers[k // 2])
-    return out
+    return _trace_core(np.ascontiguousarray(a), k_max)
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:

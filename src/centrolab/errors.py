@@ -2,8 +2,9 @@
 
 The command-line front end maps these onto its exit codes (config 1,
 I/O 2, solver 3, enumeration budget 4); a kernel pole hit by a contour
-the configuration asked for is a config error, exit 1.  Library callers
-catch them like any other exception.
+the configuration asked for, and samples too degenerate for a statistic
+(``DiagnosticError``), are config errors, exit 1.  Library callers catch
+them like any other exception.
 """
 
 __all__ = [

@@ -14,9 +14,19 @@ from its half powers.  Tr M^1 is read off M's own diagonal.
 class values of consecutive trials into one array per stack (the draws
 of about 1 MiB of matrix entries), builds P and Q straight from those
 rows with the same Weaver split ``weaver_blocks`` uses, and traces each
-stack at once; the mirrored matrix M is never formed.
-``les_polynomial`` traces one given matrix through the same core, fed
-with M's row-major cells.
+stack at once through ``trace_powers``'s core, so every trial's traces
+are bitwise those of ``trace_powers`` on its blocks; the mirrored
+matrix M is never formed.  ``les_polynomial`` traces one given matrix
+through the same core, fed with M's row-major cells.
+
+Each worker thread keeps one workspace for the whole call: a generator,
+P and Q, and one scratch array that holds the stack's draws until P and
+Q are split from them, then P's half powers, then Q's in the leading
+entries of the same buffers.  A partial last stack uses the leading
+rows of all of them, and a stack allocates only arrays of one number
+per trial, such as its traces.  For k_max <= 6 the draws and the two
+half powers fill about the same n^2 / 2 doubles per trial, so a worker
+holds about n^2 doubles per trial of its stack.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -38,14 +48,22 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centro import CentroMatrix, _check_dist, _draw, _weaver_split, class_count
-from .eig import Spectrum, trace_powers
+from .centro import (
+    CentroMatrix,
+    WeaverBlocks,
+    _check_dist,
+    _draw,
+    _weaver_split,
+    class_count,
+)
+from .eig import Spectrum, _trace_core
 from .errors import ConfigError, DiagnosticError
 from .poly import Polynomial
 from .variance import closed_form_variance
@@ -192,20 +210,51 @@ def _stack_size(n: int) -> int:
     return max(1, 2**17 // (n * n))
 
 
-def _draw_traces(cells: np.ndarray, n: int, k_max: int) -> np.ndarray:
+class _Workspace:
+    """What one worker thread reuses for every stack of one call: a
+    generator, the two Weaver blocks and one scratch array that holds
+    the ``(rows, class_count(n))`` draws until the blocks are split from
+    them, then ``ceil(k_max / 2) - 1`` flat half-power buffers sized for
+    ``plus``, which ``minus`` reuses after ``plus`` is traced.
+    """
+
+    def __init__(self, n: int, rows: int, k_max: int) -> None:
+        h, c = n // 2, class_count(n)
+        size = rows * (n - h) ** 2
+        powers = (k_max + 1) // 2 - 1
+        scratch = np.empty(max(rows * c, powers * size))
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self.draws = scratch[: rows * c].reshape(rows, c)
+        self.pool = [scratch[i * size : (i + 1) * size] for i in range(powers)]
+        self.plus = np.empty((rows, n - h, n - h))
+        self.minus = np.empty((rows, h, h))
+
+
+def _draw_traces(
+    cells: np.ndarray, n: int, k_max: int, ws: _Workspace | None = None
+) -> np.ndarray:
     """Tr M^1 .. M^k_max of the matrices whose scaled row-major cells, at
     least the first ``class_count(n)``, are the rows of ``cells``, without
     forming the matrices.
 
-    Tr M^1 sums M's diagonal in M's own order: the diagonal cells among
-    the first ``class_count(n)`` (the top half, and the center for odd
-    n), then the same cells reversed without the center, so it equals
+    The Weaver blocks and their half powers go into the leading entries
+    of ``ws``'s buffers, or into new arrays without ``ws``; ``cells`` are
+    read before any power is formed, so they may be ``ws.draws``.  Tr M^1
+    sums M's diagonal in M's own order: the diagonal cells among the
+    first ``class_count(n)`` (the top half, and the center for odd n),
+    then the same cells reversed without the center, so it equals
     ``np.trace`` of M bitwise.
     """
-    blocks = _weaver_split(cells, n)
-    traces = trace_powers(blocks.plus, k_max) + trace_powers(blocks.minus, k_max)
     d = cells[:, : class_count(n) : n + 1]
-    traces[:, 0] = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
+    first = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
+    if ws is None:
+        blocks, pool = _weaver_split(cells, n), None
+    else:
+        rows = len(cells)
+        blocks = _weaver_split(cells, n, WeaverBlocks(ws.plus[:rows], ws.minus[:rows]))
+        pool = ws.pool
+    traces = _trace_core(blocks.plus, k_max, pool) + _trace_core(blocks.minus, k_max, pool)
+    traces[:, 0] = first
     return traces
 
 
@@ -220,8 +269,9 @@ def _trial_traces(
     their Weaver blocks.  ``dist`` and the master seed, which must lie in
     ``[0, 2**64)``, are checked before any seed is hashed or worker
     started.  The PCG64 states of all trials come from one vectorized
-    seed hash; each stack keeps one generator and sets it to each of its
-    trials' states before drawing that trial's row.  A trace past the
+    seed hash.  Each worker thread builds one ``_Workspace`` on its first
+    stack and reuses it for the rest of the call: its generator is set to
+    each trial's state before drawing that trial's row.  A trace past the
     double range is inf or nan, without a warning in any worker thread.
     """
     if n < 1:
@@ -231,14 +281,16 @@ def _trial_traces(
         raise ConfigError(f"master seed must be in [0, 2**64), got {master_seed}")
     size = _stack_size(n)
     words = _seed_words(_trial_seeds(master_seed, trials))
+    local = threading.local()
 
     def work(s: int) -> np.ndarray:
         stack = words[s * size : (s + 1) * size].tolist()
-        rng = np.random.Generator(np.random.PCG64(0))
-        draws = np.empty((len(stack), class_count(n)))
-        _draw(rng, n, dist, draws, map(_pcg64_state, stack))
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(n, min(size, trials), k_max)
+        draws = local.ws.draws[: len(stack)]
+        _draw(local.ws.rng, n, dist, draws, map(_pcg64_state, stack))
         with np.errstate(over="ignore", invalid="ignore"):  # per thread
-            return _draw_traces(draws, n, k_max)
+            return _draw_traces(draws, n, k_max, local.ws)
 
     return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
 

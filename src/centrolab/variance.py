@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-9
+_KERNEL_CELLS = 2**16  # kernel entries per block of rows in contour_variance
 
 
 class KernelVariant(str, Enum):
@@ -122,7 +123,9 @@ def contour_variance(
     fixes the orientation once; it is frozen here).  The trapezoid rule
     on a periodic integrand converges spectrally, but roundoff grows like
     ``radius^(2 deg f)``: high degrees need a radius near 1 (and then
-    more nodes), see the module docstring.
+    more nodes), see the module docstring.  ``left @ kernel`` is summed
+    over blocks of kernel rows of at most ``_KERNEL_CELLS`` entries, so
+    memory grows linearly with ``nodes``; up to 256 nodes are one block.
     """
     variant = KernelVariant(variant)
     if radius <= 1.0:
@@ -131,12 +134,15 @@ def contour_variance(
         raise ConfigError(f"need at least 2 quadrature nodes, got {nodes}")
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     zs = radius * np.exp(1j * theta)
-    kernel = kernel_eval(zs[:, None], zs[None, :], variant)
     step = 2.0 * math.pi / nodes
     left = f(zs) * (1j * zs) * step
     right = f.conjugate()(zs) * (1j * zs) * step
-    value = -(left @ kernel @ right) / (4.0 * math.pi**2)
-    return complex(value)
+    rows = max(1, _KERNEL_CELLS // nodes)
+    left_kernel = np.zeros(nodes, dtype=complex)
+    for r in range(0, nodes, rows):
+        kernel = kernel_eval(zs[r : r + rows, None], zs[None, :], variant)
+        left_kernel += left[r : r + rows] @ kernel
+    return complex(-(left_kernel @ right) / (4.0 * math.pi**2))
 
 
 @dataclass(frozen=True)

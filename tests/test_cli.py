@@ -359,6 +359,10 @@ class TestBadInput:
             pytest.param(
                 ["clt", "--n", "2", "--trials", "3", "--f", "1e308,1"], id="clt-statistic-overflows"
             ),
+            pytest.param(
+                ["clt", "--n", "2", "--trials", "3", "--f", "1e200,1"],
+                id="clt-samples-all-equal",
+            ),
         ],
     )
     def test_exits_1_without_output(self, argv, tmp_path, monkeypatch, capsys):

@@ -411,14 +411,32 @@ class TestTracePowers:
             for k in range(1, k_max + 1):
                 assert traces[k - 1] == pytest.approx(cl.trace_power(a, k), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_every_layout_case_matches_dense_reference(self, n):
+        # k_max 1-8 takes h = ceil(k_max/2) of both parities, so traces above
+        # h pair powers of opposite stored layouts and of the same one
+        a = np.random.default_rng(40 + n).standard_normal((n, n)) / np.sqrt(max(n, 1))
+        dense = [cl.trace_power(a, k) for k in range(1, 9)]
+        for k_max in range(1, 9):
+            traces = cl.trace_powers(a, k_max)
+            assert traces.shape == (k_max,)
+            assert traces[0] == float(np.trace(a))
+            for k in range(1, k_max + 1):
+                assert traces[k - 1] == pytest.approx(dense[k - 1], rel=1e-12, abs=1e-14)
+
     @pytest.mark.parametrize("n", [1, 6, 33])
     def test_stack_matches_per_matrix_calls(self, n):
         stack = np.random.default_rng(n).standard_normal((2, 3, n, n))
-        traces = cl.trace_powers(stack, 6)
-        assert traces.shape == (2, 3, 6)
-        for s in range(2):
-            for t in range(3):
-                assert np.array_equal(traces[s, t], cl.trace_powers(stack[s, t], 6))
+        for k_max in (3, 4, 6, 7):
+            traces = cl.trace_powers(stack, k_max)
+            assert traces.shape == (2, 3, k_max)
+            for s in range(2):
+                for t in range(3):
+                    assert np.array_equal(traces[s, t], cl.trace_powers(stack[s, t], k_max))
+
+    def test_non_contiguous_input_traces_as_its_copy(self):
+        a = np.random.default_rng(5).standard_normal((7, 7))
+        assert np.array_equal(cl.trace_powers(a.T, 6), cl.trace_powers(a.T.copy(), 6))
 
     def test_empty_block_has_zero_traces(self):
         assert np.array_equal(cl.trace_powers(np.zeros((3, 0, 0)), 4), np.zeros((3, 4)))

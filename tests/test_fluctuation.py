@@ -83,19 +83,27 @@ class TestWeaverFirstTraces:
         # trials); stacks are capped at 200 trials to keep small orders fast
         stack_size = fluctuation._stack_size
         monkeypatch.setattr(fluctuation, "_stack_size", lambda n: min(stack_size(n), 200))
+        # k_max 2, 4, 5, 7: one, one, two and three half powers, so both
+        # parities of ceil(k_max/2) and both stored layouts of a power
+        k_maxes = (2, 4, 5, 7)
         for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
             trials = fluctuation._stack_size(n) + 9
             for dist in cl.DISTRIBUTIONS:
-                expected = np.empty((trials, 4))
+                expected = {k_max: np.empty((trials, k_max)) for k_max in k_maxes}
                 for t in range(trials):
                     stack = cl.sample_centro(n, dist, cl.trial_seed(8, t)).entries[None]
                     blocks = cl.weaver_blocks(stack)
-                    traces = cl.trace_powers(blocks.plus, 4) + cl.trace_powers(blocks.minus, 4)
-                    traces[..., 0] = np.trace(stack, axis1=-2, axis2=-1)
-                    expected[t] = traces[0]
-                for threads in (1, 2):
-                    traces = _trial_traces(n, trials, 4, dist, 8, threads)
-                    assert np.array_equal(traces, expected), (n, dist, threads)
+                    for k_max in k_maxes:
+                        traces = cl.trace_powers(blocks.plus, k_max) + cl.trace_powers(
+                            blocks.minus, k_max
+                        )
+                        traces[..., 0] = np.trace(stack, axis1=-2, axis2=-1)
+                        expected[k_max][t] = traces[0]
+                for k_max in k_maxes:
+                    for threads in (1, 2):
+                        traces = _trial_traces(n, trials, k_max, dist, 8, threads)
+                        case = (n, dist, k_max, threads)
+                        assert np.array_equal(traces, expected[k_max]), case
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_full_rows_trace_as_their_first_class_cells(self, n):

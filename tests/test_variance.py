@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,29 @@ class TestContourVariance:
         for f in cases:
             v = cl.contour_variance(f, KernelVariant.FULL, 1.5, 256)
             assert abs(v - coefficient_projection(f, KernelVariant.FULL)) < 1e-7
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_row_blocks_keep_memory_linear_in_nodes(self, variant):
+        f = cl.Polynomial([0] * 40 + [1])
+        tracemalloc.start()
+        try:
+            cl.contour_variance(f, variant, 1.05, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # the dense 2048 x 2048 kernel alone is 64 MiB
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_row_blocks_match_the_dense_sum(self, variant):
+        # 1024 nodes are 16 blocks of rows
+        f = cl.Polynomial([0] * 40 + [1])
+        nodes, radius = 1024, 1.05
+        zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        weights = 1j * zs * (2 * np.pi / nodes)
+        kernel = cl.kernel_eval(zs[:, None], zs[None, :], variant)
+        dense = -(f(zs) * weights) @ kernel @ (f.conjugate()(zs) * weights) / (4 * np.pi**2)
+        value = cl.contour_variance(f, variant, radius, nodes)
+        assert abs(value - dense) <= 1e-12 * abs(dense)
 
     def test_rejects_radius_at_or_below_one(self):
         with pytest.raises(cl.ConfigError):
