@@ -85,7 +85,7 @@ SETTINGS = {
         int,
         None,
         lambda v: v >= 1,
-        "worker threads, >= 1, capped at one per CPU and per trial stack; default 1",
+        "worker threads, >= 1, capped at one per usable CPU and per trial stack; default 1",
     ),
     "n_list": Setting(_list(int), None, _positive_entries, "orders n1,n2,... >= 1; default: n"),
     "k_list": Setting(_list(int), None, _positive_entries, "powers k1,... >= 1; default: 2..kmax"),

@@ -186,11 +186,17 @@ def _pcg64_state(words) -> dict:
 def _ordered_map(work, count: int, threads: int | None) -> list:
     """Apply ``work`` to 0..count-1, results in index order regardless of schedule.
 
-    Runs on at most ``min(threads, count, os.cpu_count())`` workers (one
-    when ``threads`` is None): more would only hold more stacks in memory
+    Runs on at most ``min(threads, count, cpus)`` workers (one when
+    ``threads`` is None), where ``cpus`` is the number of CPUs this
+    process may run on (its affinity set where the platform reports one,
+    else ``os.cpu_count()``): more would only hold more stacks in memory
     at once, since results do not depend on the worker count.
     """
-    workers = min(threads or 1, count, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads or 1, count, cpus)
     if workers <= 1:
         return [work(t) for t in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -18,17 +18,22 @@ of first visit, the first visit to pair ``a`` at index ``a``) and
 weights its term by the orbit size ``(h)_r * 2**r``, where ``r`` is the
 number of pairs the chain uses and ``(h)_r = h (h-1) ... (h-r+1)``.
 The orbit sizes add up to exactly ``n**w`` for chain width ``w``, which
-is asserted on every call; ``terms_enumerated`` still counts those
+is checked on every call; ``terms_enumerated`` still counts those
 ``n**w`` index tuples.  The ``budget`` caps the number of
 representatives, the work actually done; it is counted exactly, before
 any representative is generated, from the table that drives the walk.
 
 Representatives are generated depth-first in blocks of at most
-``_BLOCK`` rows.  Everything is an exact integer: each Wick term is a
-product of entries of one (m-1)!! table, the terms are summed per orbit
-size as Python ints and weighted by those sizes, and the total is
-divided by ``n**(w // 2)`` once.  So the value is the correctly rounded
-exact expectation (``inf`` past the double range) in any block order.
+``_BLOCK`` rows.  A block is evaluated from its rows' class ids, sorted
+within each row so that the cells of one class form a run: one pass
+over the sorted columns tracks each row's run length and multiplies in
+a run's moment where the run ends.  Everything is an exact integer: each
+Wick term is a product of entries of one (m-1)!! table, held in int64
+where ``(w-1)!!`` times the block's rows stays below ``2**63`` and as
+Python ints otherwise; the terms are summed per orbit size as Python
+ints and weighted by those sizes, and the total is divided by
+``n**(w // 2)`` once.  So the value is the correctly rounded exact
+expectation (``inf`` past the double range) in any block order.
 """
 
 from __future__ import annotations
@@ -104,6 +109,11 @@ def _block_sum(
     distinct classes of the centered Gaussian moment of the class
     multiplicity: ``prod (m_c - 1)!!`` if every multiplicity is even,
     else zero.  Row t's term is weighted by the orbit size of ``used[t]`` pairs.
+
+    Sorting each row's class ids makes a class's cells one run; one pass
+    over the columns carries every row's run length and product, and
+    where column p differs from column p - 1 the run that just ended
+    contributes its moment.
     """
     succ = np.empty_like(digits)  # the column index of each visited cell
     off = 0
@@ -117,14 +127,16 @@ def _block_sum(
     cls = np.sort(np.minimum(cell, n * n - 1 - cell), axis=1)
 
     rows, width = cls.shape
-    first = np.ones((rows, width), dtype=bool)  # first cell of a run of one class
-    np.not_equal(cls[:, 1:], cls[:, :-1], out=first[:, 1:])
-    starts = np.flatnonzero(first)
-    runs = np.diff(starts, append=first.size)
     moments = np.array(_moments(width), dtype=object)
     if moments.max() * rows < 2**63:  # bounds every sum of terms: int64 is exact
         moments = moments.astype(np.int64)
-    term = np.multiply.reduceat(moments[runs], np.flatnonzero(starts % width == 0))
+    run = np.ones(rows, dtype=np.intp)  # length of each row's current run
+    term = np.ones(rows, dtype=moments.dtype)
+    for p in range(1, width):
+        ends = cls[:, p] != cls[:, p - 1]
+        term *= np.where(ends, moments[run], 1)
+        run = np.where(ends, 1, run + 1)
+    term *= moments[run]
     sizes = _orbit_sizes(n, width)
     return sum(size * int(term[used == r].sum()) for r, size in enumerate(sizes))
 
@@ -250,7 +262,8 @@ def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
         total += _block_sum(rows, used, lengths, n)
         counts = np.bincount(used, minlength=len(sizes))
         covered += sum(int(c) * size for c, size in zip(counts, sizes))
-    assert covered == n**width, f"orbits cover {covered} of {n**width} index tuples"
+    if covered != n**width:
+        raise AssertionError(f"orbits cover {covered} of {n**width} index tuples")
     return _quotient(total, n ** (width // 2))
 
 

@@ -250,6 +250,24 @@ def test_worker_pool_bounded_by_tasks_and_cpus():
     assert len(used) <= min(32, os.cpu_count() or 1)
 
 
+def test_worker_pool_bounded_by_cpu_affinity(monkeypatch):
+    # a taskset mask or container cpuset can allow fewer CPUs than the host has
+    n, trials = 64, 4 * fluctuation._stack_size(64)
+    expected = _trial_traces(n, trials, 4, "gaussian", 5, 1)
+    used = set()
+    draw_traces = fluctuation._draw_traces
+
+    def record(*args):
+        used.add(threading.get_ident())
+        return draw_traces(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(fluctuation, "_draw_traces", record)
+    traces = _trial_traces(n, trials, 4, "gaussian", 5, threads=4)
+    assert used == {threading.get_ident()}
+    assert np.array_equal(traces, expected)
+
+
 class TestTrialSeeds:
     def test_splitmix64_known_vector(self):
         # published first output of splitmix64 for state 0

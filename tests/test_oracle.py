@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 import centrolab as cl
 from centrolab import oracle
 from centrolab.cli import main
+
+SRC = Path(cl.__file__).resolve().parents[1]
 
 
 class TestGaussianMoment:
@@ -214,6 +220,53 @@ class TestOrbitEnumeration:
         assert len(rows) > 1
         assert max(rows) <= oracle._BLOCK
 
+    @pytest.mark.parametrize("n, lengths", [(9, (4, 4)), (40, (5, 5))])
+    def test_block_sum_matches_per_row_reference(self, n, lengths):
+        # widths 8 and 10, past the brute-force reference: each row's
+        # classes counted one at a time, its term a product of (m - 1)!!
+        width = sum(lengths)
+        rows, used = next(oracle._representatives(n, oracle._completions(n, width)))
+        step = rows.shape[0] // 2000
+        rows, used = rows[::step][:2000], used[::step][:2000]
+        sizes = oracle._orbit_sizes(n, width)
+        expected = nonzero = 0
+        for row, u in zip(rows.tolist(), used.tolist()):
+            cells = []
+            off = 0
+            for length in lengths:
+                chain = row[off : off + length]
+                cells += [
+                    cl.entry_class(n, chain[t], chain[(t + 1) % length]) for t in range(length)
+                ]
+                off += length
+            mults = Counter(cells).values()
+            term = math.prod(math.prod(range(m - 1, 0, -2)) for m in mults)
+            if any(m % 2 for m in mults):
+                term = 0
+            nonzero += term > 0
+            expected += sizes[u] * term
+        assert nonzero > 0 and len(set(used.tolist())) > 2
+        assert oracle._block_sum(rows, used, lengths, n) == expected
+
+    def test_coverage_check_survives_optimized_mode(self):
+        # a bare assert would vanish under python -O and let a wrong value through
+        code = (
+            "from centrolab import oracle\n"
+            "sizes = oracle._orbit_sizes\n"
+            "oracle._orbit_sizes = lambda n, w: [2 * s for s in sizes(n, w)]\n"
+            "try:\n"
+            "    print(oracle.oracle_single_chain(4, 4).value)\n"
+            "except AssertionError as err:\n"
+            "    print(err)\n"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "orbits cover 512 of 256 index tuples"
+
     def test_convergence_table_calls_module_globals(self, monkeypatch):
         # bench/tracing.py wraps the two chain functions where they live
         seen = []
@@ -278,3 +331,5 @@ class TestExactRounding:
         if n % 2 == 0:
             tr6 = 2 + Fraction(24, n) + Fraction(64, n * n)
             assert cl.oracle_single_chain(n, 6).value == float(tr6)
+            tr44 = 12 + Fraction(32, n) + Fraction(544, n * n) + Fraction(512, n**3)
+            assert cl.oracle_double_chain(n, 4, 4).value == float(tr44)
