@@ -94,7 +94,8 @@ SETTINGS = {
         int,
         DEFAULT_TERM_BUDGET,
         lambda v: 1 <= v < 2**63,
-        "orbit representatives per grid point, 1 <= budget < 2**63",
+        "orbit representatives per grid point, counted before pruning "
+        "(an upper bound on the rows evaluated), 1 <= budget < 2**63",
     ),
     "out": Setting(str, ".", lambda v: "\0" not in v, "output directory"),
 }

@@ -19,11 +19,22 @@ weights its term by the orbit size ``(h)_r * 2**r``, where ``r`` is the
 number of pairs the chain uses and ``(h)_r = h (h-1) ... (h-r+1)``.
 The orbit sizes add up to exactly ``n**w`` for chain width ``w``, which
 is checked on every call; ``terms_enumerated`` still counts those
-``n**w`` index tuples.  The ``budget`` caps the number of
-representatives, the work actually done; it is counted exactly, before
-any representative is generated, from the table that drives the walk.
+``n**w`` index tuples.
 
-Representatives are generated depth-first in blocks of at most
+Representatives are generated depth-first, one index at a time, and the
+walk drops every prefix that can no longer close its odd classes: a
+chain's term is nonzero only if it hits every class an even number of
+times, so a prefix whose determined cells hit more classes an odd
+number of times than it has cells left open, or whose open cells have
+the wrong parity, has only zero terms below it.  An odd total width
+drops the root, so no representative is evaluated.  A dropped depth-d
+prefix still counts the index tuples below it, its orbit size times
+``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget`` caps
+the number of representatives before pruning: it is counted exactly,
+before the walk starts, from the completion table that drives the walk,
+and it bounds the rows evaluated (``ChainExpectation.representatives``).
+
+Surviving representatives are evaluated in blocks of at most
 ``_BLOCK`` rows.  A block is evaluated from its rows' class ids, sorted
 within each row so that the cells of one class form a run: one pass
 over the sorted columns tracks each row's run length and multiplies in
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +100,9 @@ class ChainExpectation:
 
     ``value`` includes the ``1 / n**((k+l)/2)`` normalization; ``l`` is
     None for single chains.  ``terms_enumerated`` is ``n**k`` or
-    ``n**(k+l)``.
+    ``n**(k+l)``; ``representatives`` is the number of orbit
+    representatives evaluated, the work done, after the walk dropped
+    every prefix whose completions all have a zero term.
     """
 
     n: int
@@ -96,6 +110,7 @@ class ChainExpectation:
     l: int | None
     value: float
     terms_enumerated: int
+    representatives: int
 
 
 def _block_sum(
@@ -155,13 +170,14 @@ def _orbit_sizes(n: int, width: int) -> list[int]:
 
 def _extend(
     rows: np.ndarray, used: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every canonical one-index extension of each prefix row.
 
     A prefix using u mirror pairs continues with either side of a pair
     it already uses (index a or n-1-a for a < u), the middle index of
     odd n, or the next pair at index u.  Returns the child rows, grouped
-    by parent in row order, and the number of pairs each uses.
+    by parent in row order, the number of pairs each uses, and each
+    child's parent row.
     """
     h, odd = divmod(n, 2)
     branch = 2 * used + odd + (used < h)
@@ -177,7 +193,7 @@ def _extend(
     out = np.empty((parent.size, rows.shape[1] + 1), dtype=rows.dtype)
     out[:, :-1] = rows[parent]
     out[:, -1] = col
-    return out, u + new
+    return out, u + new, parent
 
 
 def _completions(n: int, width: int) -> list[list[int]]:
@@ -202,46 +218,128 @@ def _completions(n: int, width: int) -> list[list[int]]:
     return table
 
 
-def _representatives(
-    n: int, table: list[list[int]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(rows, used)`` blocks of canonical orbit representatives.
+def _fixed_cells(lengths: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Cells ``(p, q)``, as index positions, that placing index p determines.
 
-    ``table`` is ``_completions(n, width)``.  Each block holds at most
-    ``_BLOCK`` rows of ``width`` indices and the number of mirror pairs
-    each row uses.  Prefixes are expanded depth-first: consecutive
-    prefixes are completed together while their completions fit in one
-    block, and a prefix with more completions than that is split into
-    its children first.
+    A chain's cell (i_t, i_{t+1}) is determined when i_{t+1} is placed,
+    its closing cell (i_L, i_1) when i_L is.
+    """
+    cells = []
+    off = 0
+    for length in lengths:
+        for t in range(length):
+            placed = [(off + t - 1, off + t)] if t else []
+            if t == length - 1:
+                placed.append((off + t, off))
+            cells.append(placed)
+        off += length
+    return cells
+
+
+def _representatives(
+    n: int, lengths: tuple[int, ...], table: list[list[int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """Yield ``(rows, used, dropped)`` blocks of canonical orbit prefixes.
+
+    ``table`` is ``_completions(n, sum(lengths))``.  ``rows`` holds one
+    prefix of indices per row and ``used`` the number of mirror pairs
+    each uses.  A block with ``dropped`` false holds at most ``_BLOCK``
+    full-width representatives to evaluate.  A dropped block holds
+    prefixes every completion of which hits some class an odd number of
+    times, so that its Wick term is zero.
+
+    The rule: a prefix whose determined cells hit o classes an odd number
+    of times, with r cells still open, is dropped unless o <= r and
+    o = r (mod 2).  o has the parity of the determined cells, so the
+    parity test fails, at every depth, exactly when the width is odd; then
+    the root is dropped.  At even width a prefix fails only if
+    o >= r + 2, which needs more determined cells than open ones and at
+    least r + 2 classes.  Where some proper prefix can fail, each row's
+    odd classes are counted as its indices are placed, down to the full
+    rows, where the rule drops exactly the zero terms.  Elsewhere (n <= 2,
+    or too few determined cells) nothing is counted, and the block sums
+    meet the zero terms themselves.
+
+    Prefixes are expanded depth-first: consecutive prefixes are completed
+    together while their unpruned completions fit in one block, and a
+    prefix with more completions than that is split into its children first.
     """
     width = len(table) - 1
     completions = [np.array(row, dtype=np.int64) for row in table]
+    cells = _fixed_cells(lengths)
+    fixed = list(accumulate((len(c) for c in cells), initial=0))  # determined at depth d
+    classes = (n * n + 1) // 2
+    tracked = any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width])
 
-    def walk(rows, used):
+    def class_ids(rows, p, q):
+        cell = rows[:, p] * n + rows[:, q]
+        return np.minimum(cell, n * n - 1 - cell)
+
+    def grow(rows, used, seen, odd):
+        # extend by one index: the children kept, and the block dropped or None
+        rows, used, parent = _extend(rows, used, n)
+        if seen is None:
+            return (rows, used, None, None), None
+        # seen[j] holds each row's class of its j-th determined cell
+        depth = rows.shape[1]
+        known, odd = seen.shape[0], odd[parent]
+        grown = np.empty((fixed[depth], parent.size), dtype=seen.dtype)
+        # "clip" writes straight into out; the default mode buffers a copy
+        np.take(seen, parent, axis=1, out=grown[:known], mode="clip")
+        for j, (p, q) in enumerate(cells[depth - 1], known):
+            cls = grown[j] = class_ids(rows, p, q)
+            odd += 1 - 2 * np.logical_xor.reduce(grown[:j] == cls, axis=0)
+        keep = odd <= width - fixed[depth]
+        if keep.all():
+            return (rows, used, grown, odd), None
+        dropped = rows[~keep], used[~keep], True
+        return (rows[keep], used[keep], grown[:, keep], odd[keep]), dropped
+
+    def part(state, index):
+        rows, used, seen, odd = state
+        if seen is None:
+            return rows[index], used[index], None, None
+        return rows[index], used[index], seen[:, index], odd[index]
+
+    def walk(state):
+        rows, used = state[:2]
         count = completions[rows.shape[1]][used]
         ends = np.cumsum(count)
         start = 0
         while start < used.size:
             if count[start] > _BLOCK:
-                yield from walk(*_extend(rows[start : start + 1], used[start : start + 1], n))
+                children, dropped = grow(*part(state, slice(start, start + 1)))
+                if dropped:
+                    yield dropped
+                yield from walk(children)
                 start += 1
                 continue
             limit = ends[start] - count[start] + _BLOCK
             stop = int(np.searchsorted(ends, limit, side="right"))
-            block = rows[start:stop], used[start:stop]
-            while block[0].shape[1] < width:
-                block = _extend(*block, n)
-            yield block
+            block = part(state, slice(start, stop))
+            while block[1].size and block[0].shape[1] < width:
+                block, dropped = grow(*block)
+                if dropped:
+                    yield dropped
+            if block[1].size:
+                yield *block[:2], False
             start = stop
 
     # linear cell ids reach n*n - 1; int32 halves the memory traffic
     dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    yield from walk(np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64))
+    root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
+    if width % 2:
+        yield *root, True
+    elif tracked:  # no cell determined yet, so no odd class
+        yield from walk((*root, np.empty((0, 1), dtype=dtype), np.zeros(1, dtype=np.int64)))
+    else:
+        yield from walk((*root, None, None))
 
 
-def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
+def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> tuple[float, int]:
     """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
 
+    Returns the value and the number of representatives evaluated.
     Raises BudgetExceededError before any work when the chains have more
     than ``budget`` orbit representatives, and ValueError for a budget of
     2**63 or more, past the int64 completion counts the walk uses.
@@ -257,14 +355,19 @@ def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> float:
             f"representatives, exceeding the budget of {budget}"
         )
     sizes = _orbit_sizes(n, width)
-    total = covered = 0
-    for rows, used in _representatives(n, table):
-        total += _block_sum(rows, used, lengths, n)
-        counts = np.bincount(used, minlength=len(sizes))
-        covered += sum(int(c) * size for c, size in zip(counts, sizes))
+    total = covered = evaluated = 0
+    for rows, used, dropped in _representatives(n, lengths, table):
+        if not dropped:
+            total += _block_sum(rows, used, lengths, n)
+            evaluated += used.size
+        # a depth-d prefix using u pairs stands for the sizes[u] prefixes of
+        # its orbit, each completed by all n**(w-d) index tuples
+        counts = np.bincount(used)
+        orbits = sum(int(c) * size for c, size in zip(counts, sizes))
+        covered += orbits * n ** (width - rows.shape[1])
     if covered != n**width:
         raise AssertionError(f"orbits cover {covered} of {n**width} index tuples")
-    return _quotient(total, n ** (width // 2))
+    return _quotient(total, n ** (width // 2)), evaluated
 
 
 def oracle_single_chain(
@@ -279,8 +382,10 @@ def oracle_single_chain(
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    value = _enumerate(n, (k,), budget)
-    return ChainExpectation(n=n, k=k, l=None, value=value, terms_enumerated=n**k)
+    value, evaluated = _enumerate(n, (k,), budget)
+    return ChainExpectation(
+        n=n, k=k, l=None, value=value, terms_enumerated=n**k, representatives=evaluated
+    )
 
 
 def oracle_double_chain(
@@ -293,8 +398,10 @@ def oracle_double_chain(
     """
     if n < 1 or k < 1 or l < 1:
         raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
-    value = _enumerate(n, (k, l), budget)
-    return ChainExpectation(n=n, k=k, l=l, value=value, terms_enumerated=n ** (k + l))
+    value, evaluated = _enumerate(n, (k, l), budget)
+    return ChainExpectation(
+        n=n, k=k, l=l, value=value, terms_enumerated=n ** (k + l), representatives=evaluated
+    )
 
 
 def convergence_table(

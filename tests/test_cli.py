@@ -214,6 +214,38 @@ class TestMoments:
         assert run(["moments", "--n", 8, "--trials", 4, "--kmax", 1]) == 1
 
 
+ORACLE_GRID_CSV = """\
+n,k,l,value,terms
+5,2,,1.8,25
+5,3,,0,125
+5,4,,3.3199999999999998,625
+5,2,2,7.1600000000000001,625
+5,2,3,0,3125
+5,3,2,0,3125
+5,3,3,9.1440000000000001,15625
+5,4,2,12.728,15625
+5,4,3,0,78125
+6,2,,2,36
+6,3,,0,216
+6,4,,3.3333333333333335,1296
+6,2,2,8,1296
+6,2,3,0,7776
+6,3,2,0,7776
+6,3,3,8.6666666666666661,46656
+6,4,2,12.888888888888889,46656
+6,4,3,0,279936
+7,2,,1.8571428571428572,49
+7,3,,0,343
+7,4,,3,2401
+7,2,2,7.408163265306122,2401
+7,2,3,0,16807
+7,3,2,0,16807
+7,3,3,7.7055393586005829,117649
+7,4,2,10.364431486880466,117649
+7,4,3,0,823543
+"""
+
+
 class TestOracle:
     def test_grid_rows(self, tmp_path):
         cfg = tmp_path / "oracle.cfg"
@@ -230,8 +262,17 @@ class TestOracle:
         for line in (tmp_path / "oracle_table.csv").read_text().splitlines()[1:]:
             assert line.split(",")[3] == "0"
 
+    def test_grid_table_bytes_pinned(self, tmp_path):
+        # the benchmark's oracle grid: single and double chains, odd and
+        # even widths; pruning the orbit walk must not move a byte
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("n_list = 5,6,7\nk_list = 2,3,4\nl_list = 2,3\n")
+        assert run(["oracle", "--config", cfg, "--out", tmp_path]) == 0
+        assert (tmp_path / "oracle_table.csv").read_bytes() == ORACLE_GRID_CSV.encode()
+
     def test_budget_counts_representatives_not_tuples(self, tmp_path):
-        # 10^10 index tuples, but only 257 orbit representatives to evaluate
+        # 10^10 index tuples, but only 257 orbit representatives to budget
+        # for (and none evaluated: every chain of odd width has a zero term)
         assert run(["oracle", "--n_list", 100, "--k_list", 5, "--out", tmp_path]) == 0
         rows = (tmp_path / "oracle_table.csv").read_text().splitlines()
         assert rows[1] == "100,5,,0,10000000000"

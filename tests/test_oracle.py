@@ -203,8 +203,8 @@ class TestOrbitEnumeration:
                     got = cl.oracle_double_chain(n, k, w - k).value
                     assert got == _brute_force(n, (k, w - k)), (n, k, w - k)
 
-    @pytest.mark.parametrize("call", [(2, 18), (3, 6, 5)])
-    def test_blocks_stay_bounded(self, monkeypatch, call):
+    @staticmethod
+    def _record_blocks(monkeypatch) -> list[int]:
         rows = []
         block_sum = oracle._block_sum
 
@@ -213,22 +213,101 @@ class TestOrbitEnumeration:
             return block_sum(digits, weights, lengths, n)
 
         monkeypatch.setattr(oracle, "_block_sum", record)
+        return rows
+
+    @pytest.mark.parametrize("call", [(2, 18), (3, 6, 6)])
+    def test_blocks_stay_bounded(self, monkeypatch, call):
+        rows = self._record_blocks(monkeypatch)
         if len(call) == 2:
-            cl.oracle_single_chain(*call)
+            got = cl.oracle_single_chain(*call)
         else:
-            cl.oracle_double_chain(*call)
+            got = cl.oracle_double_chain(*call)
         assert len(rows) > 1
         assert max(rows) <= oracle._BLOCK
+        assert got.representatives == sum(rows)
+
+    def test_odd_width_evaluates_no_row(self, monkeypatch):
+        # an odd total width leaves some class hit an odd number of times in
+        # every chain: the root itself is dropped, covering all n**w tuples
+        rows = self._record_blocks(monkeypatch)
+        got = cl.oracle_double_chain(3, 6, 5)
+        assert got.value == 0.0 and got.representatives == 0 and rows == []
+        walk = list(oracle._representatives(3, (6, 5), oracle._completions(3, 11)))
+        assert [(r.shape, u.tolist(), dropped) for r, u, dropped in walk] == [
+            ((1, 0), [0], True)
+        ]
+
+    def test_pruning_counts_rows_evaluated(self):
+        # only the chains whose every class is hit an even number of times
+        # reach the block sums once the odd classes are counted; at n = 2
+        # no prefix can fail, so every representative is evaluated
+        assert cl.oracle_double_chain(9, 4, 4).representatives == 2_121
+        assert cl.oracle_double_chain(40, 5, 5).representatives == 9_162
+        assert cl.oracle_single_chain(2, 18).representatives == 2**17
+        assert cl.oracle_single_chain(5, 7).representatives == 0
+
+    @pytest.mark.parametrize("n, lengths", [(5, (3, 3)), (6, (2, 1, 3)), (4, (4, 4)), (7, (1, 5))])
+    def test_dropped_prefixes_cannot_close(self, n, lengths):
+        # recount each dropped prefix's determined cells from its digits:
+        # more classes hit an odd number of times than cells left open
+        # (or the wrong parity), so no completion has a nonzero term
+        width = sum(lengths)
+        walk = oracle._representatives(n, lengths, oracle._completions(n, width))
+        seen = 0
+        for rows, _, dropped in walk:
+            for row in rows.tolist() if dropped else []:
+                cells = []
+                off = 0
+                for length in lengths:
+                    chain = row[off : off + length]
+                    cells += [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
+                    if len(chain) == length:
+                        cells.append((chain[-1], chain[0]))
+                    off += length
+                counts = Counter(cl.entry_class(n, i, j) for i, j in cells)
+                odd = sum(m % 2 for m in counts.values())
+                left = width - len(cells)
+                assert odd > left or (odd - left) % 2, (row, odd, left)
+                seen += 1
+        assert seen > 0
+
+    @pytest.mark.parametrize(
+        "n, lengths",
+        [
+            (n, lengths)
+            for lengths in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (2, 2, 1, 1), (3, 1, 1, 1)]
+            for n in range(1, 5)
+        ]
+        + [(3, (1, 3, 1, 3)), (3, (2, 1, 2, 3))],
+    )
+    def test_several_chains_match_brute_force(self, n, lengths):
+        # three and four chains: each chain's closing cell is determined
+        # when its last index is placed, mid-row
+        got, _ = oracle._enumerate(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+        assert got == _brute_force(n, lengths)
 
     @pytest.mark.parametrize("n, lengths", [(9, (4, 4)), (40, (5, 5))])
     def test_block_sum_matches_per_row_reference(self, n, lengths):
         # widths 8 and 10, past the brute-force reference: each row's
-        # classes counted one at a time, its term a product of (m - 1)!!
+        # classes counted one at a time, its term a product of (m - 1)!!;
+        # walked rows (all nonzero terms here) and random rows (mostly zero)
         width = sum(lengths)
-        rows, used = next(oracle._representatives(n, oracle._completions(n, width)))
-        step = rows.shape[0] // 2000
-        rows, used = rows[::step][:2000], used[::step][:2000]
         sizes = oracle._orbit_sizes(n, width)
+        walked = [
+            (rows, used)
+            for rows, used, dropped in oracle._representatives(
+                n, lengths, oracle._completions(n, width)
+            )
+            if not dropped
+        ]
+        rows = np.concatenate([rows for rows, _ in walked])
+        used = np.concatenate([used for _, used in walked])
+        step = rows.shape[0] // 1000
+        rng = np.random.default_rng(1729)
+        rows = np.concatenate(
+            (rows[::step][:1000], rng.integers(0, n, (1000, width), dtype=rows.dtype))
+        )
+        used = np.concatenate((used[::step][:1000], rng.integers(0, len(sizes), 1000)))
         expected = nonzero = 0
         for row, u in zip(rows.tolist(), used.tolist()):
             cells = []
@@ -245,7 +324,7 @@ class TestOrbitEnumeration:
                 term = 0
             nonzero += term > 0
             expected += sizes[u] * term
-        assert nonzero > 0 and len(set(used.tolist())) > 2
+        assert 0 < nonzero < len(rows) and len(set(used.tolist())) > 2
         assert oracle._block_sum(rows, used, lengths, n) == expected
 
     def test_coverage_check_survives_optimized_mode(self):
@@ -283,17 +362,27 @@ class TestOrbitEnumeration:
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 12), w=st.integers(1, 8))
-def test_orbit_sizes_cover_every_tuple(n, w):
+@given(
+    n=st.integers(1, 12),
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 8),
+)
+def test_orbit_sizes_cover_every_tuple(n, lengths):
+    # a dropped depth-d prefix using u pairs stands for table[d][u]
+    # representatives and sizes[u] * n**(w - d) index tuples
+    w = sum(lengths)
     sizes = oracle._orbit_sizes(n, w)
     table = oracle._completions(n, w)
-    covered = visited = 0
-    for rows, used in oracle._representatives(n, table):
-        assert rows.shape[1] == w
-        covered += sum(sizes[u] for u in used.tolist())
-        visited += used.size
+    covered = visited = evaluated = 0
+    for rows, used, dropped in oracle._representatives(n, tuple(lengths), table):
+        depth = rows.shape[1]
+        assert depth == w or dropped
+        assert used.size > 0 and used.max() < len(table[depth])
+        covered += sum(sizes[u] * n ** (w - depth) for u in used.tolist())
+        visited += sum(table[depth][u] for u in used.tolist())
+        evaluated += 0 if dropped else used.size
     assert covered == n**w
     assert visited == table[0][0]  # the count the budget is checked against
+    assert evaluated <= table[0][0]
 
 
 def _double_factorial(m: int) -> float:
