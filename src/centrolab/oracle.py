@@ -18,11 +18,22 @@ of first visit, the first visit to pair ``a`` at index ``a``) and
 weights its term by the orbit size ``(h)_r * 2**r``, where ``r`` is the
 number of pairs the chain uses and ``(h)_r = h (h-1) ... (h-r+1)``.
 The orbit sizes add up to exactly ``n**w`` for chain width ``w``, which
-is checked on every call; ``terms_enumerated`` still counts those
+is checked on every walk; ``terms_enumerated`` still counts those
 ``n**w`` index tuples.
 
-Representatives are generated depth-first, one index at a time, and the
-walk drops every prefix that can no longer close its odd classes: a
+Pairs are labelled by their order of first visit, so a representative's
+Wick term depends on its sequence of pair symbols (pair, side, or the
+middle index), not on n; and the representatives at order n are those
+at any larger order of the same parity that use at most ``h`` pairs.
+One walk therefore gives the exact sums ``S_r`` of the terms of the
+representatives using r pairs (``ChainExpectation.pair_sums``), and
+``n**(w/2) E = sum_r S_r (h)_r 2**r`` at every order of that parity up
+to the walked one.  ``convergence_table`` walks each chain shape once
+per parity of n, at the largest order, and serves the other orders
+from those sums.
+
+Representatives are generated one index at a time, level by level, and
+the walk drops every prefix that can no longer close its odd classes: a
 chain's term is nonzero only if it hits every class an even number of
 times, so a prefix whose determined cells hit more classes an odd
 number of times than it has cells left open, or whose open cells have
@@ -31,28 +42,29 @@ drops the root, so no representative is evaluated.  A dropped depth-d
 prefix still counts the index tuples below it, its orbit size times
 ``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget`` caps
 the number of representatives before pruning: it is counted exactly,
-before the walk starts, from the completion table that drives the walk,
-and it bounds the rows evaluated (``ChainExpectation.representatives``).
+from the completion table, before the walk starts, and it bounds the
+rows evaluated (``ChainExpectation.representatives``).
 
-Surviving representatives are evaluated in blocks of at most
-``_BLOCK`` rows.  A block is evaluated from its rows' class ids, sorted
-within each row so that the cells of one class form a run: one pass
-over the sorted columns tracks each row's run length and multiplies in
-a run's moment where the run ends.  Everything is an exact integer: each
-Wick term is a product of entries of one (m-1)!! table, held in int64
-where ``(w-1)!!`` times the block's rows stays below ``2**63`` and as
-Python ints otherwise; the terms are summed per orbit size as Python
-ints and weighted by those sizes, and the total is divided by
-``n**(w // 2)`` once.  So the value is the correctly rounded exact
-expectation (``inf`` past the double range) in any block order.
+Surviving representatives are gathered into blocks of ``_BLOCK`` rows
+(the last block of a walk holds the rest).  A block is evaluated from
+its rows' class ids, sorted within each row so that the cells of one
+class form a run: one pass over the sorted columns tracks each row's
+run length and multiplies in a run's moment where the run ends.
+Everything is an exact integer: each Wick term is a product of entries
+of one (m-1)!! table, held in int64 where ``(w-1)!!`` times the block's
+rows stays below ``2**63`` and as Python ints otherwise; the terms are
+summed per number of pairs used as Python ints, those sums are weighted
+by the orbit sizes, and the total is divided by ``n**(w // 2)`` once.
+So the value is the correctly rounded exact expectation (``inf`` past
+the double range) in any block order.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,9 +112,17 @@ class ChainExpectation:
 
     ``value`` includes the ``1 / n**((k+l)/2)`` normalization; ``l`` is
     None for single chains.  ``terms_enumerated`` is ``n**k`` or
-    ``n**(k+l)``; ``representatives`` is the number of orbit
-    representatives evaluated, the work done, after the walk dropped
-    every prefix whose completions all have a zero term.
+    ``n**(k+l)``.  ``pair_sums[r]`` is the exact sum of the Wick terms of
+    the orbit representatives that use r mirror pairs, for
+    r = 0 .. min(h, w) with ``h = n // 2`` and total width w, so that
+    ``n**(w/2) * value = sum(pair_sums[r] * (h)_r * 2**r)`` up to the one
+    final rounding.  A representative's term depends only on its sequence
+    of pair symbols, not on n, so the sums of one walk hold for every
+    order of the same parity with fewer pairs.  ``representatives`` is the
+    number of orbit representatives evaluated, the work done, after the
+    walk dropped every prefix whose completions all have a zero term; it
+    is 0 on a ``convergence_table`` row served from the walk at a larger
+    order.
     """
 
     n: int
@@ -111,19 +131,21 @@ class ChainExpectation:
     value: float
     terms_enumerated: int
     representatives: int
+    pair_sums: tuple[int, ...]
 
 
 def _block_sum(
     digits: np.ndarray, used: np.ndarray, lengths: tuple[int, ...], n: int
-) -> int:
-    """Exact orbit-weighted sum of the per-row Wick products of one block.
+) -> list[int]:
+    """Exact sums of the per-row Wick products of one block, by pairs used.
 
     Each row of ``digits`` holds the concatenated indices of the chains
     in ``lengths``; a chain of length L visits cells
     (i_1, i_2), ..., (i_L, i_1).  A row's term is the product over its
     distinct classes of the centered Gaussian moment of the class
     multiplicity: ``prod (m_c - 1)!!`` if every multiplicity is even,
-    else zero.  Row t's term is weighted by the orbit size of ``used[t]`` pairs.
+    else zero.  Entry r of the result sums the terms of the rows using r
+    mirror pairs (``used[t] == r``), for r = 0 .. min(n // 2, width).
 
     Sorting each row's class ids makes a class's cells one run; one pass
     over the columns carries every row's run length and product, and
@@ -152,8 +174,7 @@ def _block_sum(
         term *= np.where(ends, moments[run], 1)
         run = np.where(ends, 1, run + 1)
     term *= moments[run]
-    sizes = _orbit_sizes(n, width)
-    return sum(size * int(term[used == r].sum()) for r, size in enumerate(sizes))
+    return [int(term[used == r].sum()) for r in range(min(n // 2, width) + 1)]
 
 
 def _orbit_sizes(n: int, width: int) -> list[int]:
@@ -168,32 +189,57 @@ def _orbit_sizes(n: int, width: int) -> list[int]:
     return sizes
 
 
-def _extend(
-    rows: np.ndarray, used: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every canonical one-index extension of each prefix row.
+def _weigh(pair_sums: Sequence[int], n: int, width: int) -> float:
+    """The expectation at order n from its Wick sums split by pairs used.
+
+    Each sum is weighted by its orbit size at n (sums past
+    ``min(n // 2, width)`` pairs have no orbit there) and the exact total
+    is divided by ``n**(width // 2)`` once.
+    """
+    total = sum(size * s for size, s in zip(_orbit_sizes(n, width), pair_sums))
+    return _quotient(total, n ** (width // 2))
+
+
+def _child_tables(n: int, width: int) -> tuple[np.ndarray, ...]:
+    """The canonical one-index extensions of a prefix, by pairs it uses.
 
     A prefix using u mirror pairs continues with either side of a pair
     it already uses (index a or n-1-a for a < u), the middle index of
-    odd n, or the next pair at index u.  Returns the child rows, grouped
-    by parent in row order, the number of pairs each uses, and each
-    child's parent row.
+    odd n, or the next pair at index u if u < n // 2.  Returns, for
+    u = 0 .. min(n // 2, width), the number of children ``branch[u]`` and
+    where they start (``first[u]``) in two flat tables: each child's new
+    index (``digit``) and the number of pairs it uses (``after``).
     """
     h, odd = divmod(n, 2)
-    branch = 2 * used + odd + (used < h)
-    parent = np.repeat(np.arange(used.size), branch)
-    c = np.arange(parent.size) - (np.cumsum(branch) - branch)[parent]
-    u = used[parent]
-    extra = c - 2 * u  # negative: revisit pair c // 2 on side c % 2
-    new = extra == odd
-    col = np.where(c & 1, n - 1 - (c >> 1), c >> 1)
-    col[new] = u[new]
-    if odd:
-        col[extra == 0] = h
+    branch, digit, after = [], [], []
+    for u in range(min(h, width) + 1):
+        kids = [i for a in range(u) for i in (a, n - 1 - a)] + [h] * odd + [u] * (u < h)
+        branch.append(len(kids))
+        digit += kids
+        after += [u] * (2 * u + odd) + [u + 1] * (u < h)
+    branch = np.array(branch, dtype=np.int64)
+    first = np.cumsum(branch) - branch
+    return branch, first, np.array(digit, dtype=np.int64), np.array(after, dtype=np.int64)
+
+
+def _extend(
+    rows: np.ndarray, used: np.ndarray, tables: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every canonical one-index extension of each prefix row.
+
+    ``tables`` is ``_child_tables(n, width)``.  Returns the child rows,
+    grouped by parent in row order, the number of pairs each uses, and
+    each child's parent row.
+    """
+    branch, first, digit, after = tables
+    count = branch[used]
+    parent = np.repeat(np.arange(used.size), count)
+    # child c of parent t sits at first[used[t]] + c in the flat tables
+    at = np.arange(parent.size) + np.repeat(first[used] - np.cumsum(count) + count, count)
     out = np.empty((parent.size, rows.shape[1] + 1), dtype=rows.dtype)
-    out[:, :-1] = rows[parent]
-    out[:, -1] = col
-    return out, u + new, parent
+    out[:, :-1] = np.take(rows, parent, axis=0)  # a fancy index copies row by row
+    out[:, -1] = digit[at]
+    return out, after[at], parent
 
 
 def _completions(n: int, width: int) -> list[list[int]]:
@@ -237,16 +283,16 @@ def _fixed_cells(lengths: tuple[int, ...]) -> list[list[tuple[int, int]]]:
 
 
 def _representatives(
-    n: int, lengths: tuple[int, ...], table: list[list[int]]
+    n: int, lengths: tuple[int, ...]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
     """Yield ``(rows, used, dropped)`` blocks of canonical orbit prefixes.
 
-    ``table`` is ``_completions(n, sum(lengths))``.  ``rows`` holds one
-    prefix of indices per row and ``used`` the number of mirror pairs
-    each uses.  A block with ``dropped`` false holds at most ``_BLOCK``
-    full-width representatives to evaluate.  A dropped block holds
-    prefixes every completion of which hits some class an odd number of
-    times, so that its Wick term is zero.
+    ``rows`` holds one prefix of indices per row and ``used`` the number
+    of mirror pairs each uses.  A block with ``dropped`` false holds
+    full-width representatives to evaluate: exactly ``_BLOCK`` of them,
+    except in the last such block, which holds fewer.  A dropped block
+    holds prefixes every completion of which hits some class an odd
+    number of times, so that its Wick term is zero.
 
     The rule: a prefix whose determined cells hit o classes an odd number
     of times, with r cells still open, is dropped unless o <= r and
@@ -260,16 +306,30 @@ def _representatives(
     or too few determined cells) nothing is counted, and the block sums
     meet the zero terms themselves.
 
-    Prefixes are expanded depth-first: consecutive prefixes are completed
-    together while their unpruned completions fit in one block, and a
-    prefix with more completions than that is split into its children first.
+    The surviving prefixes of each depth wait in one queue and grow one
+    level at a time, a chunk of parents at a time.  A depth-d prefix
+    uses u <= min(d, n // 2) pairs and has ``2u + odd + (u < h)``
+    children, so a chunk of ``_BLOCK`` over that count at the largest u
+    has at most ``_BLOCK`` children.  The walk grows from the deepest
+    queue that holds a full chunk, so no queue holds more than a chunk
+    plus one grown chunk's children; when no queue holds a full chunk it
+    grows all of the shallowest nonempty one, which nothing refills, so
+    at most one short chunk is grown per depth.
     """
-    width = len(table) - 1
-    completions = [np.array(row, dtype=np.int64) for row in table]
+    width = sum(lengths)
+    # linear cell ids reach n*n - 1; int32 halves the memory traffic
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
+    if width % 2:
+        yield *root, True
+        return
+    h, odd = divmod(n, 2)
     cells = _fixed_cells(lengths)
     fixed = list(accumulate((len(c) for c in cells), initial=0))  # determined at depth d
+    tables = _child_tables(n, width)
     classes = (n * n + 1) // 2
-    tracked = any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width])
+    if not any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width]):
+        cells, fixed = [[]] * width, [0] * (width + 1)  # no prefix can fail: count nothing
 
     def class_ids(rows, p, q):
         cell = rows[:, p] * n + rows[:, q]
@@ -277,9 +337,7 @@ def _representatives(
 
     def grow(rows, used, seen, odd):
         # extend by one index: the children kept, and the block dropped or None
-        rows, used, parent = _extend(rows, used, n)
-        if seen is None:
-            return (rows, used, None, None), None
+        rows, used, parent = _extend(rows, used, tables)
         # seen[j] holds each row's class of its j-th determined cell
         depth = rows.shape[1]
         known, odd = seen.shape[0], odd[parent]
@@ -292,73 +350,103 @@ def _representatives(
         keep = odd <= width - fixed[depth]
         if keep.all():
             return (rows, used, grown, odd), None
-        dropped = rows[~keep], used[~keep], True
-        return (rows[keep], used[keep], grown[:, keep], odd[keep]), dropped
+        # compress copies contiguous runs; a boolean index goes item by item
+        drop = ~keep
+        dropped = rows.compress(drop, axis=0), used.compress(drop), True
+        kept = rows.compress(keep, axis=0), used.compress(keep)
+        return (*kept, grown.compress(keep, axis=1), odd.compress(keep)), dropped
 
     def part(state, index):
         rows, used, seen, odd = state
-        if seen is None:
-            return rows[index], used[index], None, None
         return rows[index], used[index], seen[:, index], odd[index]
 
-    def walk(state):
-        rows, used = state[:2]
-        count = completions[rows.shape[1]][used]
-        ends = np.cumsum(count)
-        start = 0
-        while start < used.size:
-            if count[start] > _BLOCK:
-                children, dropped = grow(*part(state, slice(start, start + 1)))
-                if dropped:
-                    yield dropped
-                yield from walk(children)
-                start += 1
-                continue
-            limit = ends[start] - count[start] + _BLOCK
-            stop = int(np.searchsorted(ends, limit, side="right"))
-            block = part(state, slice(start, stop))
-            while block[1].size and block[0].shape[1] < width:
-                block, dropped = grow(*block)
-                if dropped:
-                    yield dropped
-            if block[1].size:
-                yield *block[:2], False
-            start = stop
+    def join(head, tail):
+        # two queued states of one depth as one; seen holds a column per row
+        if head is None:
+            return tail
+        rows, used, seen, odd = zip(head, tail)
+        return np.concatenate(rows), np.concatenate(used), np.hstack(seen), np.concatenate(odd)
 
-    # linear cell ids reach n*n - 1; int32 halves the memory traffic
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
-    if width % 2:
-        yield *root, True
-    elif tracked:  # no cell determined yet, so no odd class
-        yield from walk((*root, np.empty((0, 1), dtype=dtype), np.zeros(1, dtype=np.int64)))
-    else:
-        yield from walk((*root, None, None))
+    queue: list[tuple | None] = [None] * width
+    # no cell is determined at the root, so no class is odd
+    queue[0] = (*root, np.empty((0, 1), dtype=dtype), np.zeros(1, dtype=np.int64))
+    branch = tables[0].tolist()  # most children at depth d: at u = min(d, h) pairs
+    chunk = [_BLOCK // branch[min(d, h)] for d in range(width)]
+    full: list[tuple[np.ndarray, np.ndarray]] = []  # full-width rows not yet yielded
+    held = low = depth = 0  # low: the shallowest depth whose queue may be nonempty
+    while low < width:
+        state = queue[depth]
+        size = 0 if state is None else state[1].size
+        if depth == low and not size:
+            low = depth = low + 1
+            continue
+        if depth > low and size < chunk[depth]:
+            depth -= 1
+            continue
+        take = min(size, chunk[depth])
+        queue[depth] = part(state, slice(take, None)) if take < size else None
+        children, dropped = grow(*part(state, slice(take)))
+        if dropped:
+            yield dropped
+        if not children[1].size:
+            continue
+        if depth + 1 < width:
+            queue[depth + 1] = join(queue[depth + 1], children)
+            depth += queue[depth + 1][1].size >= chunk[depth + 1]
+            continue
+        full.append(children[:2])
+        held += children[1].size
+        if held >= _BLOCK:
+            rows, used = full[0] if len(full) == 1 else map(np.concatenate, zip(*full))
+            yield rows[:_BLOCK], used[:_BLOCK], False
+            full, held = [(rows[_BLOCK:], used[_BLOCK:])], held - _BLOCK
+    if held:
+        yield *(np.concatenate(parts) for parts in zip(*full)), False
 
 
-def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> tuple[float, int]:
-    """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
+def _check_args(n: int, k: int, l: int | None = None) -> None:
+    """Raise ValueError for an order or chain length below 1."""
+    if l is None:
+        if n < 1 or k < 1:
+            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    elif n < 1 or k < 1 or l < 1:
+        raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
 
-    Returns the value and the number of representatives evaluated.
-    Raises BudgetExceededError before any work when the chains have more
-    than ``budget`` orbit representatives, and ValueError for a budget of
-    2**63 or more, past the int64 completion counts the walk uses.
+
+def _check_budget(n: int, lengths: tuple[int, ...], budget: int) -> None:
+    """Raise BudgetExceededError past ``budget`` orbit representatives.
+
+    The representatives are counted exactly, before pruning.  A budget of
+    2**63 or more raises ValueError, the range the CLI's setting has too.
     """
     if budget >= 2**63:
         raise ValueError(f"budget must be below 2**63, got {budget}")
-    width = sum(lengths)
-    table = _completions(n, width)
-    if table[0][0] > budget:
+    count = _completions(n, sum(lengths))[0][0]
+    if count > budget:
         label = ", ".join(f"k={p}" for p in lengths)
         raise BudgetExceededError(
-            f"enumeration for n={n}, {label} needs {table[0][0]} orbit "
+            f"enumeration for n={n}, {label} needs {count} orbit "
             f"representatives, exceeding the budget of {budget}"
         )
+
+
+def _enumerate(
+    n: int, lengths: tuple[int, ...], budget: int
+) -> tuple[float, int, tuple[int, ...]]:
+    """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
+
+    Returns the value, the number of representatives evaluated and the
+    exact Wick sums split by pairs used (``ChainExpectation.pair_sums``).
+    Raises as ``_check_budget`` does before any work.
+    """
+    _check_budget(n, lengths, budget)
+    width = sum(lengths)
     sizes = _orbit_sizes(n, width)
-    total = covered = evaluated = 0
-    for rows, used, dropped in _representatives(n, lengths, table):
+    sums = [0] * len(sizes)
+    covered = evaluated = 0
+    for rows, used, dropped in _representatives(n, lengths):
         if not dropped:
-            total += _block_sum(rows, used, lengths, n)
+            sums = [a + b for a, b in zip(sums, _block_sum(rows, used, lengths, n))]
             evaluated += used.size
         # a depth-d prefix using u pairs stands for the sizes[u] prefixes of
         # its orbit, each completed by all n**(w-d) index tuples
@@ -367,7 +455,7 @@ def _enumerate(n: int, lengths: tuple[int, ...], budget: int) -> tuple[float, in
         covered += orbits * n ** (width - rows.shape[1])
     if covered != n**width:
         raise AssertionError(f"orbits cover {covered} of {n**width} index tuples")
-    return _quotient(total, n ** (width // 2)), evaluated
+    return _weigh(sums, n, width), evaluated, tuple(sums)
 
 
 def oracle_single_chain(
@@ -380,11 +468,16 @@ def oracle_single_chain(
     normalized by ``n**(k/2)``.  Exactly zero for odd k at every n (each chain then
     has some odd-multiplicity class).
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    value, evaluated = _enumerate(n, (k,), budget)
+    _check_args(n, k)
+    value, evaluated, sums = _enumerate(n, (k,), budget)
     return ChainExpectation(
-        n=n, k=k, l=None, value=value, terms_enumerated=n**k, representatives=evaluated
+        n=n,
+        k=k,
+        l=None,
+        value=value,
+        terms_enumerated=n**k,
+        representatives=evaluated,
+        pair_sums=sums,
     )
 
 
@@ -396,11 +489,31 @@ def oracle_double_chain(
     Same Wick evaluation over joint chains of ``n**(k+l)`` index tuples,
     normalized by ``n**((k+l)/2)``.
     """
-    if n < 1 or k < 1 or l < 1:
-        raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
-    value, evaluated = _enumerate(n, (k, l), budget)
+    _check_args(n, k, l)
+    value, evaluated, sums = _enumerate(n, (k, l), budget)
     return ChainExpectation(
-        n=n, k=k, l=l, value=value, terms_enumerated=n ** (k + l), representatives=evaluated
+        n=n,
+        k=k,
+        l=l,
+        value=value,
+        terms_enumerated=n ** (k + l),
+        representatives=evaluated,
+        pair_sums=sums,
+    )
+
+
+def _served(walk: ChainExpectation, n: int) -> ChainExpectation:
+    """The row at order n of the parity of ``walk.n``, from the walk's sums."""
+    if n == walk.n:
+        return walk
+    width = walk.k + (walk.l or 0)
+    return replace(
+        walk,
+        n=n,
+        value=_weigh(walk.pair_sums, n, width),
+        terms_enumerated=n**width,
+        representatives=0,
+        pair_sums=walk.pair_sums[: min(n // 2, width) + 1],
     )
 
 
@@ -416,12 +529,30 @@ def convergence_table(
     double-chain row per (k, l) in ``k_list x l_list``.  Rows are
     ordered n-major so gaps against the asymptotic constants can be read
     down a column.
+
+    Every grid point is first checked, in grid order, as its own call
+    would check it (arguments, then its unpruned count against
+    ``budget``), so the first failing point raises before any work.
+    Each chain shape is then walked once per parity of n, by
+    ``oracle_single_chain`` or ``oracle_double_chain`` at the largest
+    order of that parity in ``n_list``; every other order of that parity
+    is served from the walk's ``pair_sums``, with the value a call at
+    that order returns, bit for bit, and ``representatives`` 0.
     """
-    rows: list[ChainExpectation] = []
+    points = []
     for n in n_list:
-        for k in k_list:
-            rows.append(oracle_single_chain(n, k, budget))
-        for k in k_list:
-            for l in l_list:
-                rows.append(oracle_double_chain(n, k, l, budget))
+        points += [(n, (k,)) for k in k_list]
+        points += [(n, (k, l)) for k in k_list for l in l_list]
+    for n, lengths in points:
+        _check_args(n, *lengths)
+        _check_budget(n, lengths, budget)
+    top = {n % 2: n for n in sorted(n for n, _ in points)}  # largest n of each parity
+    walks: dict[tuple, ChainExpectation] = {}
+    rows = []
+    for n, lengths in points:
+        key = lengths, n % 2
+        if key not in walks:
+            chain = oracle_single_chain if len(lengths) == 1 else oracle_double_chain
+            walks[key] = chain(top[n % 2], *lengths, budget)
+        rows.append(_served(walks[key], n))
     return rows

@@ -277,6 +277,17 @@ class TestOracle:
         rows = (tmp_path / "oracle_table.csv").read_text().splitlines()
         assert rows[1] == "100,5,,0,10000000000"
 
+    @pytest.mark.parametrize("n_list", ["20,21", "4,20", "20,22"])
+    def test_budget_checked_in_grid_order(self, tmp_path, capsys, n_list):
+        # one walk per parity runs at the largest order, but the error still
+        # names the first grid point past the budget, and no table is written
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(f"n_list = {n_list}\nk_list = 12\n")
+        assert run(["oracle", "--config", cfg, "--out", tmp_path / "out"]) == 4
+        err = capsys.readouterr().err
+        assert "for n=20, k=12 needs 487026796 orbit representatives" in err
+        assert not (tmp_path / "out" / "oracle_table.csv").exists()
+
     def test_budget_exceeded_names_tuple(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text("n_list = 20\nk_list = 12\n")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,6 +142,32 @@ class TestDoubleChain:
         assert cl.oracle_double_chain(3, 2, 2).terms_enumerated == 81
 
 
+def _record_chain_calls(monkeypatch) -> list[tuple[str, tuple]]:
+    """Record every call made to the module's two chain functions."""
+    seen = []
+    for name in ("oracle_single_chain", "oracle_double_chain"):
+        inner = getattr(oracle, name)
+
+        def wrapped(*args, _inner=inner, _name=name):
+            seen.append((_name, args))
+            return _inner(*args)
+
+        monkeypatch.setattr(oracle, name, wrapped)
+    return seen
+
+
+def _assert_rows_match_calls(rows) -> None:
+    """Each table row is bitwise what its own call returns, but for the work."""
+    for row in rows:
+        if row.l is None:
+            point = cl.oracle_single_chain(row.n, row.k)
+        else:
+            point = cl.oracle_double_chain(row.n, row.k, row.l)
+        assert row.value.hex() == point.value.hex(), row
+        assert replace(row, representatives=0) == replace(point, representatives=0)
+        assert row.representatives in (0, point.representatives)
+
+
 class TestConvergenceTable:
     def test_k2_gap_non_increasing_over_even_orders(self):
         rows = cl.convergence_table([2], [], [2, 4, 6, 8])
@@ -160,6 +187,40 @@ class TestConvergenceTable:
         assert len(rows) == 2 * (2 + 2)
         assert rows[0].n == 2 and rows[0].k == 2 and rows[0].l is None
         assert rows[2].l == 2
+
+    def test_one_walk_per_shape_and_parity(self, monkeypatch):
+        # 9 chain shapes at 2 parities of n: the n = 5 rows come from the
+        # n = 7 walks, and every other row is a walk's own result
+        seen = _record_chain_calls(monkeypatch)
+        rows = cl.convergence_table([2, 3, 4], [2, 3], [5, 6, 7])
+        assert len(seen) == 18
+        assert {args[0] for _, args in seen} == {6, 7}
+        assert [r.representatives for r in rows if r.n == 5] == [0] * 9
+        _assert_rows_match_calls(rows)
+
+    @pytest.mark.parametrize(
+        "k_list, l_list, n_list",
+        [([k], list(range(1, 9 - k)), list(range(1, 13))) for k in range(1, 9)]
+        + [([1, 2, 3, 4], [1, 2, 3], [3, 1, 2, 5, 4, 3]), ([5, 3, 5], [1, 3], [2, 9, 4, 7])],
+    )
+    def test_rows_equal_per_point_calls(self, k_list, l_list, n_list):
+        # every shape of width <= 8 at n = 1..12, an unordered n_list with
+        # a repeat, a repeated k and odd widths
+        rows = cl.convergence_table(k_list, l_list, n_list)
+        shapes = [(k, None) for k in k_list] + [(k, l) for k in k_list for l in l_list]
+        assert [(r.n, r.k, r.l) for r in rows] == [(n, k, l) for n in n_list for k, l in shapes]
+        _assert_rows_match_calls(rows)
+
+    def test_budget_checked_in_grid_order_before_any_walk(self, monkeypatch):
+        # n = 4 fits the budget and n = 20 does not, nor does n = 22, the
+        # order its parity is walked at: the error names the first failing
+        # point, and no chain is walked
+        seen = _record_chain_calls(monkeypatch)
+        with pytest.raises(cl.BudgetExceededError, match="n=20, k=12 "):
+            cl.convergence_table([12], [], [4, 20])
+        with pytest.raises(cl.BudgetExceededError, match="n=20, k=12 "):
+            cl.convergence_table([12], [], [20, 22])
+        assert seen == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,16 +276,17 @@ class TestOrbitEnumeration:
         monkeypatch.setattr(oracle, "_block_sum", record)
         return rows
 
-    @pytest.mark.parametrize("call", [(2, 18), (3, 6, 6)])
+    @pytest.mark.parametrize("call", [(2, (18,)), (8, (3, 3, 3, 3))])
     def test_blocks_stay_bounded(self, monkeypatch, call):
+        # n = 2 prunes nothing; (3,3,3,3) at n = 8 keeps 208,880 of its
+        # 202,943,744 representatives (past the default budget); both
+        # reach the block sums in full blocks
         rows = self._record_blocks(monkeypatch)
-        if len(call) == 2:
-            got = cl.oracle_single_chain(*call)
-        else:
-            got = cl.oracle_double_chain(*call)
+        _, evaluated, _ = oracle._enumerate(*call, 2**62)
         assert len(rows) > 1
         assert max(rows) <= oracle._BLOCK
-        assert got.representatives == sum(rows)
+        assert rows[:-1] == [oracle._BLOCK] * (len(rows) - 1)
+        assert evaluated == sum(rows)
 
     def test_odd_width_evaluates_no_row(self, monkeypatch):
         # an odd total width leaves some class hit an odd number of times in
@@ -232,7 +294,7 @@ class TestOrbitEnumeration:
         rows = self._record_blocks(monkeypatch)
         got = cl.oracle_double_chain(3, 6, 5)
         assert got.value == 0.0 and got.representatives == 0 and rows == []
-        walk = list(oracle._representatives(3, (6, 5), oracle._completions(3, 11)))
+        walk = list(oracle._representatives(3, (6, 5)))
         assert [(r.shape, u.tolist(), dropped) for r, u, dropped in walk] == [
             ((1, 0), [0], True)
         ]
@@ -252,7 +314,7 @@ class TestOrbitEnumeration:
         # more classes hit an odd number of times than cells left open
         # (or the wrong parity), so no completion has a nonzero term
         width = sum(lengths)
-        walk = oracle._representatives(n, lengths, oracle._completions(n, width))
+        walk = oracle._representatives(n, lengths)
         seen = 0
         for rows, _, dropped in walk:
             for row in rows.tolist() if dropped else []:
@@ -283,7 +345,7 @@ class TestOrbitEnumeration:
     def test_several_chains_match_brute_force(self, n, lengths):
         # three and four chains: each chain's closing cell is determined
         # when its last index is placed, mid-row
-        got, _ = oracle._enumerate(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+        got = oracle._enumerate(n, lengths, oracle.DEFAULT_TERM_BUDGET)[0]
         assert got == _brute_force(n, lengths)
 
     @pytest.mark.parametrize("n, lengths", [(9, (4, 4)), (40, (5, 5))])
@@ -292,12 +354,10 @@ class TestOrbitEnumeration:
         # classes counted one at a time, its term a product of (m - 1)!!;
         # walked rows (all nonzero terms here) and random rows (mostly zero)
         width = sum(lengths)
-        sizes = oracle._orbit_sizes(n, width)
+        pairs = min(n // 2, width) + 1
         walked = [
             (rows, used)
-            for rows, used, dropped in oracle._representatives(
-                n, lengths, oracle._completions(n, width)
-            )
+            for rows, used, dropped in oracle._representatives(n, lengths)
             if not dropped
         ]
         rows = np.concatenate([rows for rows, _ in walked])
@@ -307,8 +367,9 @@ class TestOrbitEnumeration:
         rows = np.concatenate(
             (rows[::step][:1000], rng.integers(0, n, (1000, width), dtype=rows.dtype))
         )
-        used = np.concatenate((used[::step][:1000], rng.integers(0, len(sizes), 1000)))
-        expected = nonzero = 0
+        used = np.concatenate((used[::step][:1000], rng.integers(0, pairs, 1000)))
+        expected = [0] * pairs
+        nonzero = 0
         for row, u in zip(rows.tolist(), used.tolist()):
             cells = []
             off = 0
@@ -323,7 +384,7 @@ class TestOrbitEnumeration:
             if any(m % 2 for m in mults):
                 term = 0
             nonzero += term > 0
-            expected += sizes[u] * term
+            expected[u] += term
         assert 0 < nonzero < len(rows) and len(set(used.tolist())) > 2
         assert oracle._block_sum(rows, used, lengths, n) == expected
 
@@ -348,17 +409,9 @@ class TestOrbitEnumeration:
 
     def test_convergence_table_calls_module_globals(self, monkeypatch):
         # bench/tracing.py wraps the two chain functions where they live
-        seen = []
-        for name in ("oracle_single_chain", "oracle_double_chain"):
-            inner = getattr(oracle, name)
-
-            def wrapped(*args, _inner=inner, _name=name):
-                seen.append(_name)
-                return _inner(*args)
-
-            monkeypatch.setattr(oracle, name, wrapped)
+        seen = _record_chain_calls(monkeypatch)
         cl.convergence_table([2], [2], [3])
-        assert seen == ["oracle_single_chain", "oracle_double_chain"]
+        assert [name for name, _ in seen] == ["oracle_single_chain", "oracle_double_chain"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,7 +426,7 @@ def test_orbit_sizes_cover_every_tuple(n, lengths):
     sizes = oracle._orbit_sizes(n, w)
     table = oracle._completions(n, w)
     covered = visited = evaluated = 0
-    for rows, used, dropped in oracle._representatives(n, tuple(lengths), table):
+    for rows, used, dropped in oracle._representatives(n, tuple(lengths)):
         depth = rows.shape[1]
         assert depth == w or dropped
         assert used.size > 0 and used.max() < len(table[depth])
@@ -410,6 +463,21 @@ class TestExactRounding:
         assert main(argv) == 0
         rows = (tmp_path / "oracle_table.csv").read_text().splitlines()
         assert rows[1].split(",")[3] == "inf"
+
+    def test_pair_sums_give_closed_forms(self):
+        # the sums of one walk give n**(w/2) E exactly at every order of
+        # that parity: sum of pair_sums[r] (h)_r 2**r, with h = n // 2
+        def exact(walk, n):
+            w = walk.k + (walk.l or 0)
+            total = sum(s * math.perm(n // 2, r) * 2**r for r, s in enumerate(walk.pair_sums))
+            return Fraction(total, n ** (w // 2))
+
+        tr6 = cl.oracle_single_chain(12, 6)
+        tr44 = cl.oracle_double_chain(16, 4, 4)
+        for n in (8, 10, 100, 1000, 10**6):
+            assert exact(tr6, n) == 2 + Fraction(24, n) + Fraction(64, n * n)
+            tr44_n = 12 + Fraction(32, n) + Fraction(544, n * n) + Fraction(512, n**3)
+            assert exact(tr44, n) == tr44_n
 
     @pytest.mark.parametrize("n", [7, 8, 13, 100, 101, 999, 1000])
     def test_large_n_matches_closed_forms(self, n):
