@@ -78,6 +78,16 @@ def class_count(n: int) -> int:
     return (n * n + 1) // 2
 
 
+def _class_id(cells: np.ndarray, n: int) -> np.ndarray:
+    """Reflection class of each row-major cell id ``i * n + j``.
+
+    Cell a mirrors to cell ``n*n - 1 - a``, so the smaller of the two
+    names the class: ids run over ``range(class_count(n))``, and the
+    class-id cell is the class's lexicographic minimum.
+    """
+    return np.minimum(cells, n * n - 1 - cells)
+
+
 @dataclass(frozen=True)
 class CentroMatrix:
     """A sampled centrosymmetric matrix with sampling provenance.
@@ -97,16 +107,6 @@ class CentroMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype, copy=copy)
-
-
-def representative_mask(n: int) -> np.ndarray:
-    """Boolean grid marking the lexicographic-minimum cell of each class.
-
-    Those are the first ``class_count(n)`` cells in row-major order:
-    cell a mirrors to cell ``n*n - 1 - a``, the layout ``_mirror``,
-    ``_weaver_split`` and the trial loop read.
-    """
-    return np.arange(n * n).reshape(n, n) < class_count(n)
 
 
 def _check_dist(dist: str) -> None:

@@ -47,6 +47,8 @@ def write_matrix_csv(path, mat) -> Path:
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a matrix CSV written by ``write_matrix_csv``."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError("matrix CSV is empty: expected an 'n=<int>' header line")
     header = lines[0].strip()
     if not header.startswith("n="):
         raise ValueError(f"matrix CSV must start with 'n=<int>', got {header!r}")

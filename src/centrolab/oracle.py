@@ -6,7 +6,11 @@ moments, so ``E[Tr M^k]`` and ``E[Tr M^k Tr M^l]`` can be evaluated
 exactly at small order by summing a Wick term over every index chain.
 These exact values are the ground truth against which both the Monte
 Carlo estimates and the asymptotic constants (2, 4, 2k, 2k+4) are
-checked.
+checked.  The class of a cell is ``centro._class_id`` of its row-major
+id, the one spelling of the reflection rule in code; ``entry_class``
+spells it independently, as a tuple minimum, for the references the
+tests check this module against.  The walk and the block sums both read
+a chain's cells from ``_fixed_cells``.
 
 A chain's Wick term depends only on which reflection classes its cells
 hit, so it is the same for every chain in one orbit of the index maps
@@ -68,6 +72,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .centro import _class_id
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -111,7 +116,8 @@ class ChainExpectation:
     """Exact expectation of a single or double index-chain product.
 
     ``value`` includes the ``1 / n**((k+l)/2)`` normalization; ``l`` is
-    None for single chains.  ``terms_enumerated`` is ``n**k`` or
+    None for single chains.  ``terms_enumerated``, the number of index
+    tuples summed over, is derived from the fields: ``n**k`` or
     ``n**(k+l)``.  ``pair_sums[r]`` is the exact sum of the Wick terms of
     the orbit representatives that use r mirror pairs, for
     r = 0 .. min(h, w) with ``h = n // 2`` and total width w, so that
@@ -129,9 +135,12 @@ class ChainExpectation:
     k: int
     l: int | None
     value: float
-    terms_enumerated: int
     representatives: int
     pair_sums: tuple[int, ...]
+
+    @property
+    def terms_enumerated(self) -> int:
+        return self.n ** (self.k + (self.l or 0))
 
 
 def _block_sum(
@@ -152,16 +161,9 @@ def _block_sum(
     where column p differs from column p - 1 the run that just ended
     contributes its moment.
     """
-    succ = np.empty_like(digits)  # the column index of each visited cell
-    off = 0
-    for length in lengths:
-        succ[:, off : off + length - 1] = digits[:, off + 1 : off + length]
-        succ[:, off + length - 1] = digits[:, off]
-        off += length
-    # cell (i, j) and its reflection (n-1-i, n-1-j) have linear ids a and
-    # n*n - 1 - a; the smaller one names the class
-    cell = digits * n + succ
-    cls = np.sort(np.minimum(cell, n * n - 1 - cell), axis=1)
+    # flattened, the cells (p, q) come in the order p = 0 .. width - 1
+    succ = [q for placed in _fixed_cells(lengths) for _, q in placed]
+    cls = np.sort(_class_id(digits * n + digits[:, succ], n), axis=1)
 
     rows, width = cls.shape
     moments = np.array(_moments(width), dtype=object)
@@ -331,10 +333,6 @@ def _representatives(
     if not any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width]):
         cells, fixed = [[]] * width, [0] * (width + 1)  # no prefix can fail: count nothing
 
-    def class_ids(rows, p, q):
-        cell = rows[:, p] * n + rows[:, q]
-        return np.minimum(cell, n * n - 1 - cell)
-
     def grow(rows, used, seen, odd):
         # extend by one index: the children kept, and the block dropped or None
         rows, used, parent = _extend(rows, used, tables)
@@ -345,7 +343,7 @@ def _representatives(
         # "clip" writes straight into out; the default mode buffers a copy
         np.take(seen, parent, axis=1, out=grown[:known], mode="clip")
         for j, (p, q) in enumerate(cells[depth - 1], known):
-            cls = grown[j] = class_ids(rows, p, q)
+            cls = grown[j] = _class_id(rows[:, p] * n + rows[:, q], n)
             odd += 1 - 2 * np.logical_xor.reduce(grown[:j] == cls, axis=0)
         keep = odd <= width - fixed[depth]
         if keep.all():
@@ -404,13 +402,10 @@ def _representatives(
         yield *(np.concatenate(parts) for parts in zip(*full)), False
 
 
-def _check_args(n: int, k: int, l: int | None = None) -> None:
+def _check_args(n: int, lengths: tuple[int, ...]) -> None:
     """Raise ValueError for an order or chain length below 1."""
-    if l is None:
-        if n < 1 or k < 1:
-            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    elif n < 1 or k < 1 or l < 1:
-        raise ValueError(f"need n, k, l >= 1, got n={n}, k={k}, l={l}")
+    if n < 1 or min(lengths) < 1:
+        raise ValueError(f"need n >= 1 and chain lengths >= 1, got n={n}, lengths={lengths}")
 
 
 def _check_budget(n: int, lengths: tuple[int, ...], budget: int) -> None:
@@ -458,6 +453,17 @@ def _enumerate(
     return _weigh(sums, n, width), evaluated, tuple(sums)
 
 
+def _chain(n: int, lengths: tuple[int, ...], budget: int) -> ChainExpectation:
+    """The exact expectation of the product of ``Tr M^L`` over L in ``lengths``.
+
+    One chain length or two; raises as ``_check_args`` and ``_enumerate`` do.
+    """
+    _check_args(n, lengths)
+    value, evaluated, sums = _enumerate(n, lengths, budget)
+    k, *l = lengths
+    return ChainExpectation(n, k, l[0] if l else None, value, evaluated, sums)
+
+
 def oracle_single_chain(
     n: int, k: int, budget: int = DEFAULT_TERM_BUDGET
 ) -> ChainExpectation:
@@ -468,17 +474,7 @@ def oracle_single_chain(
     normalized by ``n**(k/2)``.  Exactly zero for odd k at every n (each chain then
     has some odd-multiplicity class).
     """
-    _check_args(n, k)
-    value, evaluated, sums = _enumerate(n, (k,), budget)
-    return ChainExpectation(
-        n=n,
-        k=k,
-        l=None,
-        value=value,
-        terms_enumerated=n**k,
-        representatives=evaluated,
-        pair_sums=sums,
-    )
+    return _chain(n, (k,), budget)
 
 
 def oracle_double_chain(
@@ -489,17 +485,7 @@ def oracle_double_chain(
     Same Wick evaluation over joint chains of ``n**(k+l)`` index tuples,
     normalized by ``n**((k+l)/2)``.
     """
-    _check_args(n, k, l)
-    value, evaluated, sums = _enumerate(n, (k, l), budget)
-    return ChainExpectation(
-        n=n,
-        k=k,
-        l=l,
-        value=value,
-        terms_enumerated=n ** (k + l),
-        representatives=evaluated,
-        pair_sums=sums,
-    )
+    return _chain(n, (k, l), budget)
 
 
 def _served(walk: ChainExpectation, n: int) -> ChainExpectation:
@@ -511,7 +497,6 @@ def _served(walk: ChainExpectation, n: int) -> ChainExpectation:
         walk,
         n=n,
         value=_weigh(walk.pair_sums, n, width),
-        terms_enumerated=n**width,
         representatives=0,
         pair_sums=walk.pair_sums[: min(n // 2, width) + 1],
     )
@@ -544,7 +529,7 @@ def convergence_table(
         points += [(n, (k,)) for k in k_list]
         points += [(n, (k, l)) for k in k_list for l in l_list]
     for n, lengths in points:
-        _check_args(n, *lengths)
+        _check_args(n, lengths)
         _check_budget(n, lengths, budget)
     top = {n % 2: n for n in sorted(n for n, _ in points)}  # largest n of each parity
     walks: dict[tuple, ChainExpectation] = {}

@@ -128,8 +128,8 @@ def contour_variance(
     memory grows linearly with ``nodes``; up to 256 nodes are one block.
     """
     variant = KernelVariant(variant)
-    if radius <= 1.0:
-        raise ConfigError(f"contour radius must exceed 1, got {radius}")
+    if not 1.0 < radius < math.inf:
+        raise ConfigError(f"contour radius must be finite and exceed 1, got {radius}")
     if nodes < 2:
         raise ConfigError(f"need at least 2 quadrature nodes, got {nodes}")
     theta = 2.0 * math.pi * np.arange(nodes) / nodes

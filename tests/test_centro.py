@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import centrolab as cl
 from centrolab import io
-from centrolab.centro import representative_mask
+from centrolab.centro import _class_id
 
 from _helpers import multiset_gap
 
@@ -73,11 +73,12 @@ class TestEntryClass:
         assert len(reps) == cl.class_count(n) == (n * n + 1) // 2
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 7])
-    def test_representative_mask_matches_entry_class(self, n):
-        mask = representative_mask(n)
+    def test_class_id_matches_entry_class(self, n):
+        ids = _class_id(np.arange(n * n), n)
         for i in range(n):
             for j in range(n):
-                assert mask[i, j] == (cl.entry_class(n, i, j).rep == (i, j))
+                assert divmod(int(ids[i * n + j]), n) == cl.entry_class(n, i, j).rep
+        assert sorted(set(ids.tolist())) == list(range(cl.class_count(n)))
 
 
 class TestSampler:
@@ -101,7 +102,7 @@ class TestSampler:
         # CLT bound on the mean of ceil(n^2/2) unit-variance draws is
         # ~3/sqrt(5e5) ~= 0.0042; the 0.1 gate is deliberately loose
         m = cl.sample_centro(1000, "gaussian", 2024)
-        raw_mean = float(m.entries[representative_mask(1000)].mean()) * math.sqrt(1000)
+        raw_mean = float(m.entries.reshape(-1)[: cl.class_count(1000)].mean()) * math.sqrt(1000)
         assert -0.1 < raw_mean < 0.1
 
     def test_uniform_support_bound(self):
@@ -145,7 +146,7 @@ class TestSampler:
                 draws = rng.standard_normal(shape)
             else:
                 draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
-            rows, cols = np.nonzero(representative_mask(n))
+            rows, cols = divmod(np.arange(cl.class_count(n)), n)
             raw = np.full(shape[:-1] + (n, n), np.nan)
             raw[..., rows, cols] = draws
             raw[..., n - 1 - rows, n - 1 - cols] = draws

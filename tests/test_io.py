@@ -31,6 +31,13 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             io.read_matrix_csv(p)
 
+    @pytest.mark.parametrize("text", ["", "  \n\n \t\n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty"):
+            io.read_matrix_csv(p)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("n=2\n1,0\n")

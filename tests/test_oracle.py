@@ -141,6 +141,10 @@ class TestDoubleChain:
     def test_terms_enumerated(self):
         assert cl.oracle_double_chain(3, 2, 2).terms_enumerated == 81
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="chain lengths >= 1"):
+            cl.oracle_double_chain(3, 2, 0)
+
 
 def _record_chain_calls(monkeypatch) -> list[tuple[str, tuple]]:
     """Record every call made to the module's two chain functions."""
@@ -220,6 +224,13 @@ class TestConvergenceTable:
             cl.convergence_table([12], [], [4, 20])
         with pytest.raises(cl.BudgetExceededError, match="n=20, k=12 "):
             cl.convergence_table([12], [], [20, 22])
+        assert seen == []
+
+    def test_bad_length_checked_before_any_walk(self, monkeypatch):
+        # the single chain k = 2 is fine, the double chain (2, 0) is not
+        seen = _record_chain_calls(monkeypatch)
+        with pytest.raises(ValueError, match="chain lengths >= 1"):
+            cl.convergence_table([2], [0], [3])
         assert seen == []
 
 

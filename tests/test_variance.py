@@ -206,6 +206,13 @@ class TestContourVariance:
         with pytest.raises(cl.ConfigError):
             cl.contour_variance(cl.Polynomial([0, 1]), KernelVariant.DIAGONAL, 0.5, 64)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_radius(self, radius):
+        with pytest.raises(cl.ConfigError, match="finite"):
+            cl.contour_variance(cl.Polynomial([0, 1]), KernelVariant.DIAGONAL, radius, 64)
+        with pytest.raises(cl.ConfigError, match="finite"):
+            cl.variance_report(cl.Polynomial([0, 1]), radius, 16)
+
 
 class TestVarianceReport:
     def test_diagonal_discrepancy_tiny_full_nonzero(self):
