@@ -32,9 +32,12 @@ at any larger order of the same parity that use at most ``h`` pairs.
 One walk therefore gives the exact sums ``S_r`` of the terms of the
 representatives using r pairs (``ChainExpectation.pair_sums``), and
 ``n**(w/2) E = sum_r S_r (h)_r 2**r`` at every order of that parity up
-to the walked one.  ``convergence_table`` walks each chain shape once
-per parity of n, at the largest order, and serves the other orders
-from those sums.
+to the walked one.  An even-order representative is an odd-order one
+that never visits the middle index, so the sums of the representatives
+off the middle index of an odd walk (``even_pair_sums``) give every
+even order below it the same way.  ``convergence_table`` walks each
+chain shape once, at the largest odd order, and serves the other orders
+from those sums; only even orders above it take a second walk.
 
 Representatives are generated one index at a time, level by level, and
 the walk drops every prefix that can no longer close its odd classes: a
@@ -129,6 +132,13 @@ class ChainExpectation:
     walk dropped every prefix whose completions all have a zero term; it
     is 0 on a ``convergence_table`` row served from the walk at a larger
     order.
+
+    An even-order representative is an odd-order one that never visits
+    the middle index, with the same term and orbit size, so
+    ``even_pair_sums`` splits off the sums of those at odd n: it is the
+    ``pair_sums`` of order ``n - 1``, and truncated to
+    ``min(m // 2, w) + 1`` entries, of every even order ``m < n``.  At
+    even n it equals ``pair_sums``.
     """
 
     n: int
@@ -137,6 +147,7 @@ class ChainExpectation:
     value: float
     representatives: int
     pair_sums: tuple[int, ...]
+    even_pair_sums: tuple[int, ...]
 
     @property
     def terms_enumerated(self) -> int:
@@ -145,7 +156,7 @@ class ChainExpectation:
 
 def _block_sum(
     digits: np.ndarray, used: np.ndarray, lengths: tuple[int, ...], n: int
-) -> list[int]:
+) -> tuple[list[int], list[int]]:
     """Exact sums of the per-row Wick products of one block, by pairs used.
 
     Each row of ``digits`` holds the concatenated indices of the chains
@@ -153,8 +164,11 @@ def _block_sum(
     (i_1, i_2), ..., (i_L, i_1).  A row's term is the product over its
     distinct classes of the centered Gaussian moment of the class
     multiplicity: ``prod (m_c - 1)!!`` if every multiplicity is even,
-    else zero.  Entry r of the result sums the terms of the rows using r
-    mirror pairs (``used[t] == r``), for r = 0 .. min(n // 2, width).
+    else zero.  Entry r of the first list sums the terms of the rows
+    using r mirror pairs (``used[t] == r``), for
+    r = 0 .. min(n // 2, width); the second list sums, the same way, only
+    the rows that never visit the middle index ``n // 2`` of odd n.  At
+    even n it is the first list.
 
     Sorting each row's class ids makes a class's cells one run; one pass
     over the columns carries every row's run length and product, and
@@ -176,7 +190,11 @@ def _block_sum(
         term *= np.where(ends, moments[run], 1)
         run = np.where(ends, 1, run + 1)
     term *= moments[run]
-    return [int(term[used == r].sum()) for r in range(min(n // 2, width) + 1)]
+    sums = [int(term[used == r].sum()) for r in range(min(n // 2, width) + 1)]
+    if not n % 2:
+        return sums, sums
+    term[(digits == n // 2).any(axis=1)] = 0
+    return sums, [int(term[used == r].sum()) for r in range(len(sums))]
 
 
 def _orbit_sizes(n: int, width: int) -> list[int]:
@@ -408,17 +426,17 @@ def _check_args(n: int, lengths: tuple[int, ...]) -> None:
         raise ValueError(f"need n >= 1 and chain lengths >= 1, got n={n}, lengths={lengths}")
 
 
-def _check_budget(n: int, lengths: tuple[int, ...], budget: int) -> None:
+def _check_budget(n: int, lengths: tuple[int, ...], budget: int, count: int) -> None:
     """Raise BudgetExceededError past ``budget`` orbit representatives.
 
-    The representatives are counted exactly, before pruning.  A budget of
-    2**63 or more raises ValueError, the range the CLI's setting has too.
+    ``count`` is the number of representatives before pruning,
+    ``_completions(n, width)[0][0]``.  A budget of 2**63 or more raises
+    ValueError, the range the CLI's setting has too.
     """
     if budget >= 2**63:
         raise ValueError(f"budget must be below 2**63, got {budget}")
-    count = _completions(n, sum(lengths))[0][0]
     if count > budget:
-        label = ", ".join(f"k={p}" for p in lengths)
+        label = ", ".join(f"{name}={p}" for name, p in zip("kl", lengths))
         raise BudgetExceededError(
             f"enumeration for n={n}, {label} needs {count} orbit "
             f"representatives, exceeding the budget of {budget}"
@@ -427,21 +445,24 @@ def _check_budget(n: int, lengths: tuple[int, ...], budget: int) -> None:
 
 def _enumerate(
     n: int, lengths: tuple[int, ...], budget: int
-) -> tuple[float, int, tuple[int, ...]]:
+) -> tuple[float, int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
 
     Returns the value, the number of representatives evaluated and the
-    exact Wick sums split by pairs used (``ChainExpectation.pair_sums``).
-    Raises as ``_check_budget`` does before any work.
+    exact Wick sums split by pairs used, of all representatives and of
+    those off the middle index (``ChainExpectation.pair_sums`` and
+    ``even_pair_sums``).  Raises as ``_check_budget`` does before any work.
     """
-    _check_budget(n, lengths, budget)
     width = sum(lengths)
+    _check_budget(n, lengths, budget, _completions(n, width)[0][0])
     sizes = _orbit_sizes(n, width)
-    sums = [0] * len(sizes)
+    sums = even = [0] * len(sizes)
     covered = evaluated = 0
     for rows, used, dropped in _representatives(n, lengths):
         if not dropped:
-            sums = [a + b for a, b in zip(sums, _block_sum(rows, used, lengths, n))]
+            block, block_even = _block_sum(rows, used, lengths, n)
+            sums = [a + b for a, b in zip(sums, block)]
+            even = [a + b for a, b in zip(even, block_even)]
             evaluated += used.size
         # a depth-d prefix using u pairs stands for the sizes[u] prefixes of
         # its orbit, each completed by all n**(w-d) index tuples
@@ -450,7 +471,7 @@ def _enumerate(
         covered += orbits * n ** (width - rows.shape[1])
     if covered != n**width:
         raise AssertionError(f"orbits cover {covered} of {n**width} index tuples")
-    return _weigh(sums, n, width), evaluated, tuple(sums)
+    return _weigh(sums, n, width), evaluated, (tuple(sums), tuple(even))
 
 
 def _chain(n: int, lengths: tuple[int, ...], budget: int) -> ChainExpectation:
@@ -459,9 +480,9 @@ def _chain(n: int, lengths: tuple[int, ...], budget: int) -> ChainExpectation:
     One chain length or two; raises as ``_check_args`` and ``_enumerate`` do.
     """
     _check_args(n, lengths)
-    value, evaluated, sums = _enumerate(n, lengths, budget)
+    value, evaluated, (sums, even) = _enumerate(n, lengths, budget)
     k, *l = lengths
-    return ChainExpectation(n, k, l[0] if l else None, value, evaluated, sums)
+    return ChainExpectation(n, k, l[0] if l else None, value, evaluated, sums, even)
 
 
 def oracle_single_chain(
@@ -489,16 +510,23 @@ def oracle_double_chain(
 
 
 def _served(walk: ChainExpectation, n: int) -> ChainExpectation:
-    """The row at order n of the parity of ``walk.n``, from the walk's sums."""
+    """The row at order n from the walk at ``walk.n``, by its sums.
+
+    n has the parity of ``walk.n`` and is at most ``walk.n``, or n is even
+    and below an odd ``walk.n``; an even n reads ``even_pair_sums``.
+    """
     if n == walk.n:
         return walk
     width = walk.k + (walk.l or 0)
+    sums = walk.pair_sums if n % 2 else walk.even_pair_sums
+    cut = min(n // 2, width) + 1
     return replace(
         walk,
         n=n,
-        value=_weigh(walk.pair_sums, n, width),
+        value=_weigh(sums, n, width),
         representatives=0,
-        pair_sums=walk.pair_sums[: min(n // 2, width) + 1],
+        pair_sums=sums[:cut],
+        even_pair_sums=walk.even_pair_sums[:cut],
     )
 
 
@@ -518,26 +546,33 @@ def convergence_table(
     Every grid point is first checked, in grid order, as its own call
     would check it (arguments, then its unpruned count against
     ``budget``), so the first failing point raises before any work.
-    Each chain shape is then walked once per parity of n, by
-    ``oracle_single_chain`` or ``oracle_double_chain`` at the largest
-    order of that parity in ``n_list``; every other order of that parity
-    is served from the walk's ``pair_sums``, with the value a call at
-    that order returns, bit for bit, and ``representatives`` 0.
+    Each chain shape is then walked by ``oracle_single_chain`` or
+    ``oracle_double_chain`` at the largest odd order in ``n_list``, which
+    serves every odd order and every even order below it; only where
+    ``n_list`` has even orders above that one is each shape walked again,
+    at the largest even order.  Every other row is served from a walk's ``pair_sums`` or
+    ``even_pair_sums``: bitwise what a call at that order returns, but
+    for ``representatives``, which is 0.
     """
     points = []
     for n in n_list:
         points += [(n, (k,)) for k in k_list]
         points += [(n, (k, l)) for k in k_list for l in l_list]
+    counts: dict[tuple[int, int], int] = {}  # unpruned count per (n, width)
     for n, lengths in points:
         _check_args(n, lengths)
-        _check_budget(n, lengths, budget)
-    top = {n % 2: n for n in sorted(n for n, _ in points)}  # largest n of each parity
+        key = n, sum(lengths)
+        if key not in counts:
+            counts[key] = _completions(*key)[0][0]
+        _check_budget(n, lengths, budget, counts[key])
+    odd = max((n for n, _ in points if n % 2), default=0)
+    even = max((n for n, _ in points if not n % 2), default=0)
     walks: dict[tuple, ChainExpectation] = {}
     rows = []
     for n, lengths in points:
-        key = lengths, n % 2
+        key = lengths, odd if n % 2 or n < odd else even
         if key not in walks:
             chain = oracle_single_chain if len(lengths) == 1 else oracle_double_chain
-            walks[key] = chain(top[n % 2], *lengths, budget)
+            walks[key] = chain(key[1], *lengths, budget)
         rows.append(_served(walks[key], n))
     return rows

@@ -295,6 +295,13 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "n=20" in err and "k=12" in err
 
+    def test_budget_exceeded_names_both_lengths(self, tmp_path, capsys):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("n_list = 20\nk_list = 6\nl_list = 6\nbudget = 10000000\n")
+        assert run(["oracle", "--config", cfg, "--out", tmp_path]) == 4
+        err = capsys.readouterr().err
+        assert "for n=20, k=6, l=6 needs 487026796 orbit representatives" in err
+
 
 class TestVariance:
     def test_linear_report(self, tmp_path):

@@ -75,6 +75,13 @@ class TestSingleChain:
         with pytest.raises(cl.BudgetExceededError, match="n=3, k=4"):
             cl.oracle_single_chain(3, 4, budget=10)
 
+    def test_double_chain_budget_error_names_k_and_l(self):
+        with pytest.raises(cl.BudgetExceededError, match="n=20, k=6, l=6 needs "):
+            cl.oracle_double_chain(20, 6, 6)
+        # k = 2 alone fits (5 representatives), (2, 4) does not (365)
+        with pytest.raises(cl.BudgetExceededError, match="n=3, k=2, l=4 needs 365 "):
+            cl.convergence_table([2], [4], [3], budget=10)
+
     def test_budget_past_int64_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
             cl.oracle_single_chain(30, 40, budget=2**63)
@@ -192,14 +199,27 @@ class TestConvergenceTable:
         assert rows[0].n == 2 and rows[0].k == 2 and rows[0].l is None
         assert rows[2].l == 2
 
-    def test_one_walk_per_shape_and_parity(self, monkeypatch):
-        # 9 chain shapes at 2 parities of n: the n = 5 rows come from the
-        # n = 7 walks, and every other row is a walk's own result
+    def test_one_walk_per_shape(self, monkeypatch):
+        # 9 chain shapes, each walked once at n = 7: the n = 5 rows come
+        # from its pair_sums, the n = 6 rows from its even_pair_sums
         seen = _record_chain_calls(monkeypatch)
         rows = cl.convergence_table([2, 3, 4], [2, 3], [5, 6, 7])
-        assert len(seen) == 18
-        assert {args[0] for _, args in seen} == {6, 7}
-        assert [r.representatives for r in rows if r.n == 5] == [0] * 9
+        assert len(seen) == 9
+        assert {args[0] for _, args in seen} == {7}
+        assert [r.representatives for r in rows if r.n in (5, 6)] == [0] * 18
+        _assert_rows_match_calls(rows)
+
+    def test_even_orders_past_the_largest_odd_walk_again(self, monkeypatch):
+        # n = 6 is past the n = 5 walk, so each shape is also walked at 6;
+        # n = 4 is served from the n = 5 walk
+        seen = _record_chain_calls(monkeypatch)
+        rows = cl.convergence_table([2, 3], [2], [4, 5, 6])
+        assert sorted(args for _, args in seen) == sorted(
+            (n, *shape, oracle.DEFAULT_TERM_BUDGET)
+            for n in (5, 6)
+            for shape in [(2,), (3,), (2, 2), (3, 2)]
+        )
+        assert [r.representatives for r in rows if r.n == 4] == [0] * 4
         _assert_rows_match_calls(rows)
 
     @pytest.mark.parametrize(
@@ -215,6 +235,17 @@ class TestConvergenceTable:
         assert [(r.n, r.k, r.l) for r in rows] == [(n, k, l) for n in n_list for k, l in shapes]
         _assert_rows_match_calls(rows)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_even_pair_sums_are_the_next_lower_order(self, n):
+        # every shape of width <= 8: the middle-free sums at odd n are the
+        # pair_sums of the walk at n - 1 (both have min(n // 2, w) + 1 entries)
+        for w in range(1, 9):
+            for lengths in [(w,)] + [(k, w - k) for k in range(1, w)]:
+                walk = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+                below = oracle._chain(n - 1, lengths, oracle.DEFAULT_TERM_BUDGET)
+                assert walk.even_pair_sums == below.pair_sums, (n, lengths)
+                assert below.even_pair_sums == below.pair_sums
+
     def test_budget_checked_in_grid_order_before_any_walk(self, monkeypatch):
         # n = 4 fits the budget and n = 20 does not, nor does n = 22, the
         # order its parity is walked at: the error names the first failing
@@ -225,6 +256,23 @@ class TestConvergenceTable:
         with pytest.raises(cl.BudgetExceededError, match="n=20, k=12 "):
             cl.convergence_table([12], [], [20, 22])
         assert seen == []
+
+    def test_budget_counts_each_order_and_width_once(self, monkeypatch):
+        # 27 grid points but 18 distinct (n, width) counts before the walks,
+        # in grid order, then one count in each of the 9 walks
+        counted = []
+        completions = oracle._completions
+
+        def record(n, width):
+            counted.append((n, width))
+            return completions(n, width)
+
+        monkeypatch.setattr(oracle, "_completions", record)
+        cl.convergence_table([2, 3, 4], [2, 3], [5, 6, 7])
+        widths = [2, 3, 4, 4, 5, 5, 6, 6, 7]
+        grid = [(n, w) for n in (5, 6, 7) for w in widths]
+        assert counted[:18] == list(dict.fromkeys(grid))
+        assert sorted(counted[18:]) == sorted((7, w) for w in widths)
 
     def test_bad_length_checked_before_any_walk(self, monkeypatch):
         # the single chain k = 2 is fine, the double chain (2, 0) is not
@@ -380,6 +428,7 @@ class TestOrbitEnumeration:
         )
         used = np.concatenate((used[::step][:1000], rng.integers(0, pairs, 1000)))
         expected = [0] * pairs
+        terms = []
         nonzero = 0
         for row, u in zip(rows.tolist(), used.tolist()):
             cells = []
@@ -396,8 +445,15 @@ class TestOrbitEnumeration:
                 term = 0
             nonzero += term > 0
             expected[u] += term
+            terms.append(term)
         assert 0 < nonzero < len(rows) and len(set(used.tolist())) > 2
-        assert oracle._block_sum(rows, used, lengths, n) == expected
+        # the rows off the middle index of odd n; at even n, every row
+        free = [0] * pairs
+        for row, u, term in zip(rows.tolist(), used.tolist(), terms):
+            if n % 2 == 0 or n // 2 not in row:
+                free[u] += term
+        assert free != expected if n % 2 else free == expected
+        assert oracle._block_sum(rows, used, lengths, n) == (expected, free)
 
     def test_coverage_check_survives_optimized_mode(self):
         # a bare assert would vanish under python -O and let a wrong value through
@@ -489,6 +545,21 @@ class TestExactRounding:
             assert exact(tr6, n) == 2 + Fraction(24, n) + Fraction(64, n * n)
             tr44_n = 12 + Fraction(32, n) + Fraction(544, n * n) + Fraction(512, n**3)
             assert exact(tr44, n) == tr44_n
+
+    def test_one_odd_walk_gives_both_parities(self):
+        # E Tr M^4 = 2 + 8/n - 7/n**2 at odd n and 2 + 8/n at even n: the
+        # n = 13 walk (h = 6 >= w) gives the first from pair_sums and the
+        # second from even_pair_sums, at every order
+        walk = cl.oracle_single_chain(13, 4)
+
+        def exact(sums, n):
+            total = sum(s * math.perm(n // 2, r) * 2**r for r, s in enumerate(sums))
+            return Fraction(total, n * n)
+
+        for n in (3, 5, 13, 101, 999, 10**6 - 1):
+            assert exact(walk.pair_sums, n) == 2 + Fraction(8, n) - Fraction(7, n * n)
+        for n in (2, 4, 14, 100, 1000, 10**6):
+            assert exact(walk.even_pair_sums, n) == 2 + Fraction(8, n)
 
     @pytest.mark.parametrize("n", [7, 8, 13, 100, 101, 999, 1000])
     def test_large_n_matches_closed_forms(self, n):
