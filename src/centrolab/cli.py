@@ -3,11 +3,14 @@
 Commands: ``sample | spectrum | clt | moments | oracle | variance``.
 Each setting is declared once, in ``SETTINGS``; ``_COMMANDS`` names the
 keys each command reads, and a command takes ``--config`` plus one
-``--<key>`` flag per key it reads.  A config file is flat ``key = value``
-text ('#' starts a comment) that may set any known key, so one file can
-serve several commands; flags override it.  File and flag values pass
-the same parse and check.  Every command is deterministic given its
-configuration (the ``runtime_seconds`` report field excluded).
+``--<key>`` flag per key it reads.  A call naming a known command builds
+only that command's parser, so its fixed cost does not grow with the
+number of commands; top-level help and usage errors build them all.  A
+config file is flat ``key = value`` text ('#' starts a comment) that may
+set any known key, so one file can serve several commands; flags
+override it.  File and flag values pass the same parse and check.  Every
+command is deterministic given its configuration (the
+``runtime_seconds`` report field excluded).
 
 Exit codes: 0 ok, 1 config or usage (a contour radius whose nodes hit a
 kernel pole, and a test function whose samples are all equal, included),
@@ -306,7 +309,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names) -> argparse.ArgumentParser:
+    """The parser with one subparser for each command in ``names``."""
     parser = _Parser(
         prog="centrolab",
         description="Centrosymmetric random-matrix experiments: sampling, "
@@ -314,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, keys) in _COMMANDS.items():
+    for name in names:
+        run, keys = _COMMANDS[name]
         # allow_abbrev=False, or ``variance --n 5`` would set --nodes
         p = sub.add_parser(
             name, help=run.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS
@@ -329,9 +334,13 @@ def _configure(argv) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]
     """The command's handler and its settings: defaults, then the config file, then flags.
 
     The namespace holds exactly the keys the command reads.  ``--help``
-    exits; every other bad input raises ``ConfigError``.
+    exits; every other bad input raises ``ConfigError``.  A known command
+    builds only its own parser; help, a missing command and an unknown
+    one build them all, for the usage, help and error text that list them.
     """
-    flags = vars(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    flags = vars(_build_parser(names).parse_args(argv))
     run, keys = _COMMANDS[flags.pop("command")]
     values = parse_config_file(flags.pop("config")) if "config" in flags else {}
     values.update((key, _value(key, text)) for key, text in flags.items())

@@ -42,15 +42,21 @@ from those sums; only even orders above it take a second walk.
 Representatives are generated one index at a time, level by level, and
 the walk drops every prefix that can no longer close its odd classes: a
 chain's term is nonzero only if it hits every class an even number of
-times, so a prefix whose determined cells hit more classes an odd
-number of times than it has cells left open, or whose open cells have
-the wrong parity, has only zero terms below it.  An odd total width
-drops the root, so no representative is evaluated.  A dropped depth-d
-prefix still counts the index tuples below it, its orbit size times
-``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget`` caps
-the number of representatives before pruning: it is counted exactly,
-from the completion table, before the walk starts, and it bounds the
-rows evaluated (``ChainExpectation.representatives``).
+times, so a prefix whose determined cells hit more classes an odd number
+of times than it has cells left open, or whose open cells have the wrong
+parity, has only zero terms below it.  An odd total width drops the
+root, so no representative is evaluated.  The last index is placed only
+where it closes: a full-width row is built only for a child whose one or
+two new cells close its parent's odd classes (a parent with none needs
+two cells of one class, a parent with two needs cells of exactly those
+two), and the other children are counted, not built.  (6,6) at n = 25
+builds the 357,333 full-width rows it evaluates, where building every
+child of the last level made 5,985,604.  A dropped depth-d prefix or an
+unbuilt child still counts the index tuples below it, its orbit size
+times ``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget``
+caps the number of representatives before pruning: it is counted
+exactly, from the completion table, before the walk starts, and it
+bounds the rows evaluated (``ChainExpectation.representatives``).
 
 Surviving representatives are gathered into blocks of ``_BLOCK`` rows
 (the last block of a walk holds the rest).  A block is evaluated from
@@ -72,6 +78,7 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -177,7 +184,9 @@ def _block_sum(
     """
     # flattened, the cells (p, q) come in the order p = 0 .. width - 1
     succ = [q for placed in _fixed_cells(lengths) for _, q in placed]
-    cls = np.sort(_class_id(digits * n + digits[:, succ], n), axis=1)
+    ids = digits * n + digits[:, succ]
+    # numpy sorts short rows of int16 slower than rows of int32
+    cls = np.sort(_class_id(ids.astype(np.promote_types(ids.dtype, np.int32)), n), axis=1)
 
     rows, width = cls.shape
     moments = np.array(_moments(width), dtype=object)
@@ -190,11 +199,18 @@ def _block_sum(
         term *= np.where(ends, moments[run], 1)
         run = np.where(ends, 1, run + 1)
     term *= moments[run]
-    sums = [int(term[used == r].sum()) for r in range(min(n // 2, width) + 1)]
+
+    def by_pairs(term):
+        # one unbuffered pass adds each term to the entry of its row's pairs
+        out = np.zeros(min(n // 2, width) + 1, dtype=term.dtype)
+        np.add.at(out, used, term)
+        return [int(s) for s in out]
+
+    sums = by_pairs(term)
     if not n % 2:
         return sums, sums
     term[(digits == n // 2).any(axis=1)] = 0
-    return sums, [int(term[used == r].sum()) for r in range(len(sums))]
+    return sums, by_pairs(term)
 
 
 def _orbit_sizes(n: int, width: int) -> list[int]:
@@ -220,7 +236,7 @@ def _weigh(pair_sums: Sequence[int], n: int, width: int) -> float:
     return _quotient(total, n ** (width // 2))
 
 
-def _child_tables(n: int, width: int) -> tuple[np.ndarray, ...]:
+def _child_tables(n: int, width: int, dtype) -> tuple[np.ndarray, ...]:
     """The canonical one-index extensions of a prefix, by pairs it uses.
 
     A prefix using u mirror pairs continues with either side of a pair
@@ -228,7 +244,8 @@ def _child_tables(n: int, width: int) -> tuple[np.ndarray, ...]:
     odd n, or the next pair at index u if u < n // 2.  Returns, for
     u = 0 .. min(n // 2, width), the number of children ``branch[u]`` and
     where they start (``first[u]``) in two flat tables: each child's new
-    index (``digit``) and the number of pairs it uses (``after``).
+    index (``digit``, of the walk's row type ``dtype``) and the number of
+    pairs it uses (``after``).
     """
     h, odd = divmod(n, 2)
     branch, digit, after = [], [], []
@@ -239,27 +256,33 @@ def _child_tables(n: int, width: int) -> tuple[np.ndarray, ...]:
         after += [u] * (2 * u + odd) + [u + 1] * (u < h)
     branch = np.array(branch, dtype=np.int64)
     first = np.cumsum(branch) - branch
-    return branch, first, np.array(digit, dtype=np.int64), np.array(after, dtype=np.int64)
+    return branch, first, np.array(digit, dtype=dtype), np.array(after, dtype=np.int64)
 
 
-def _extend(
-    rows: np.ndarray, used: np.ndarray, tables: tuple[np.ndarray, ...]
+def _children(
+    used: np.ndarray, tables: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every canonical one-index extension of each prefix row.
+    """Every canonical one-index extension of each prefix, without its row.
 
-    ``tables`` is ``_child_tables(n, width)``.  Returns the child rows,
-    grouped by parent in row order, the number of pairs each uses, and
-    each child's parent row.
+    ``used`` holds the number of pairs each prefix uses and ``tables`` is
+    ``_child_tables(n, width, dtype)``.  Returns, for the children grouped by
+    parent in row order, each child's parent row, its new index and the
+    number of pairs it uses.
     """
     branch, first, digit, after = tables
     count = branch[used]
-    parent = np.repeat(np.arange(used.size), count)
+    parent = np.arange(used.size).repeat(count)
     # child c of parent t sits at first[used[t]] + c in the flat tables
-    at = np.arange(parent.size) + np.repeat(first[used] - np.cumsum(count) + count, count)
+    at = np.arange(parent.size) + (first[used] - count.cumsum() + count).repeat(count)
+    return parent, digit[at], after[at]
+
+
+def _rows(rows: np.ndarray, parent: np.ndarray, digit: np.ndarray) -> np.ndarray:
+    """The prefix rows ``rows[parent]``, each extended by its new index ``digit``."""
     out = np.empty((parent.size, rows.shape[1] + 1), dtype=rows.dtype)
-    out[:, :-1] = np.take(rows, parent, axis=0)  # a fancy index copies row by row
-    out[:, -1] = digit[at]
-    return out, after[at], parent
+    out[:, :-1] = rows.take(parent, axis=0)  # a fancy index copies row by row
+    out[:, -1] = digit
+    return out
 
 
 def _completions(n: int, width: int) -> list[list[int]]:
@@ -282,6 +305,16 @@ def _completions(n: int, width: int) -> list[list[int]]:
         )
     table.reverse()
     return table
+
+
+@cache
+def _unpruned(n: int, width: int) -> int:
+    """The number of representatives of width ``width`` before pruning.
+
+    ``_completions(n, width)[0][0]``, made once per (n, width): a grid's
+    budget checks and its walks count each order and width once.
+    """
+    return _completions(n, width)[0][0]
 
 
 def _fixed_cells(lengths: tuple[int, ...]) -> list[list[tuple[int, int]]]:
@@ -312,7 +345,9 @@ def _representatives(
     full-width representatives to evaluate: exactly ``_BLOCK`` of them,
     except in the last such block, which holds fewer.  A dropped block
     holds prefixes every completion of which hits some class an odd
-    number of times, so that its Wick term is zero.
+    number of times, so that its Wick term is zero.  A dropped block of
+    full width holds no rows (its ``rows`` has shape ``(0, width)``), only
+    the pairs each of its chains uses: those are counted, never built.
 
     The rule: a prefix whose determined cells hit o classes an odd number
     of times, with r cells still open, is dropped unless o <= r and
@@ -326,6 +361,17 @@ def _representatives(
     or too few determined cells) nothing is counted, and the block sums
     meet the zero terms themselves.
 
+    The last index is placed without building the rows it cannot close.
+    Its one or two new cells close a parent with o odd classes (o <= 2
+    once pruned) only if o = 0 and the two cells share a class, or o = 2
+    and they hit exactly the parent's odd pair (o = 1: the one cell hits
+    the odd class).  The classes of a closed chain XOR to 0, so each
+    child's new classes are XORed into its parent's XOR of classes first,
+    from the parent's columns alone.  Only the children whose XOR
+    vanishes have their odd classes counted, and only those that close
+    are built, so the full-width rows built are the rows evaluated.
+    Where nothing is counted, every child is built.
+
     The surviving prefixes of each depth wait in one queue and grow one
     level at a time, a chunk of parents at a time.  A depth-d prefix
     uses u <= min(d, n // 2) pairs and has ``2u + odd + (u < h)``
@@ -337,8 +383,9 @@ def _representatives(
     at most one short chunk is grown per depth.
     """
     width = sum(lengths)
-    # linear cell ids reach n*n - 1; int32 halves the memory traffic
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    # linear cell ids reach n*n - 1; the narrowest type that holds them
+    # moves the least memory
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if n * n <= np.iinfo(t).max)
     root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
     if width % 2:
         yield *root, True
@@ -346,31 +393,65 @@ def _representatives(
     h, odd = divmod(n, 2)
     cells = _fixed_cells(lengths)
     fixed = list(accumulate((len(c) for c in cells), initial=0))  # determined at depth d
-    tables = _child_tables(n, width)
+    tables = _child_tables(n, width, dtype)
     classes = (n * n + 1) // 2
     if not any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width]):
         cells, fixed = [[]] * width, [0] * (width + 1)  # no prefix can fail: count nothing
 
-    def grow(rows, used, seen, odd):
-        # extend by one index: the children kept, and the block dropped or None
-        rows, used, parent = _extend(rows, used, tables)
-        # seen[j] holds each row's class of its j-th determined cell
-        depth = rows.shape[1]
-        known, odd = seen.shape[0], odd[parent]
-        grown = np.empty((fixed[depth], parent.size), dtype=seen.dtype)
+    def placed(rows, parent, digit):
+        # each child's class of each cell its new index determines
+        depth = rows.shape[1] + 1
+        for p, q in cells[depth - 1]:
+            i, k = (digit if x == depth - 1 else rows[:, x].take(parent) for x in (p, q))
+            yield _class_id(i * n + k, n)
+
+    def tally(seen, odd, parent, classes):
+        # each child's classes, its parent's then its new ones, and how
+        # many it hits an odd number of times
+        known = seen.shape[0]
+        grown = np.empty((known + len(classes), parent.size), dtype=seen.dtype)
         # "clip" writes straight into out; the default mode buffers a copy
-        np.take(seen, parent, axis=1, out=grown[:known], mode="clip")
-        for j, (p, q) in enumerate(cells[depth - 1], known):
-            cls = grown[j] = _class_id(rows[:, p] * n + rows[:, q], n)
+        seen.take(parent, axis=1, out=grown[:known], mode="clip")
+        odd = odd[parent]
+        for j, cls in enumerate(classes, known):
+            grown[j] = cls
             odd += 1 - 2 * np.logical_xor.reduce(grown[:j] == cls, axis=0)
-        keep = odd <= width - fixed[depth]
+        return grown, odd
+
+    def grow(rows, used, seen, odd):
+        # extend by one index short of full width: the children kept, and
+        # the block dropped or None
+        parent, digit, used = _children(used, tables)
+        grown, odd = tally(seen, odd, parent, list(placed(rows, parent, digit)))
+        keep = odd <= width - fixed[rows.shape[1] + 1]
         if keep.all():
-            return (rows, used, grown, odd), None
+            return (_rows(rows, parent, digit), used, grown, odd), None
         # compress copies contiguous runs; a boolean index goes item by item
         drop = ~keep
-        dropped = rows.compress(drop, axis=0), used.compress(drop), True
-        kept = rows.compress(keep, axis=0), used.compress(keep)
-        return (*kept, grown.compress(keep, axis=1), odd.compress(keep)), dropped
+        dropped = _rows(rows, parent.compress(drop), digit.compress(drop)), used.compress(drop)
+        kept = _rows(rows, parent.compress(keep), digit.compress(keep)), used.compress(keep)
+        return (*kept, grown.compress(keep, axis=1), odd.compress(keep)), (*dropped, True)
+
+    def close(rows, used, seen, odd):
+        # place the last index: the full rows that close, and the block of
+        # the other children, counted but not built, or None
+        parent, digit, used = _children(used, tables)
+        classes = list(placed(rows, parent, digit))
+        if not classes:  # nothing is counted: every child is built
+            return (_rows(rows, parent, digit), used), None
+        # the classes of a closed chain XOR to 0: only the children whose
+        # classes do are counted in full
+        xor = np.bitwise_xor.reduce(seen, axis=0).take(parent)
+        for cls in classes:
+            xor ^= cls
+        test = np.flatnonzero(xor == 0)
+        _, left = tally(seen, odd, parent[test], [cls[test] for cls in classes])
+        built = test[left == 0]
+        unbuilt = np.ones(used.size, dtype=bool)
+        unbuilt[built] = False
+        lost = used.compress(unbuilt)
+        dropped = (np.empty((0, width), dtype=rows.dtype), lost, True) if lost.size else None
+        return (_rows(rows, parent[built], digit[built]), used[built]), dropped
 
     def part(state, index):
         rows, used, seen, odd = state
@@ -401,7 +482,7 @@ def _representatives(
             continue
         take = min(size, chunk[depth])
         queue[depth] = part(state, slice(take, None)) if take < size else None
-        children, dropped = grow(*part(state, slice(take)))
+        children, dropped = (grow if depth + 1 < width else close)(*part(state, slice(take)))
         if dropped:
             yield dropped
         if not children[1].size:
@@ -430,7 +511,7 @@ def _check_budget(n: int, lengths: tuple[int, ...], budget: int, count: int) -> 
     """Raise BudgetExceededError past ``budget`` orbit representatives.
 
     ``count`` is the number of representatives before pruning,
-    ``_completions(n, width)[0][0]``.  A budget of 2**63 or more raises
+    ``_unpruned(n, width)``.  A budget of 2**63 or more raises
     ValueError, the range the CLI's setting has too.
     """
     if budget >= 2**63:
@@ -454,7 +535,7 @@ def _enumerate(
     ``even_pair_sums``).  Raises as ``_check_budget`` does before any work.
     """
     width = sum(lengths)
-    _check_budget(n, lengths, budget, _completions(n, width)[0][0])
+    _check_budget(n, lengths, budget, _unpruned(n, width))
     sizes = _orbit_sizes(n, width)
     sums = even = [0] * len(sizes)
     covered = evaluated = 0
@@ -558,13 +639,9 @@ def convergence_table(
     for n in n_list:
         points += [(n, (k,)) for k in k_list]
         points += [(n, (k, l)) for k in k_list for l in l_list]
-    counts: dict[tuple[int, int], int] = {}  # unpruned count per (n, width)
     for n, lengths in points:
         _check_args(n, lengths)
-        key = n, sum(lengths)
-        if key not in counts:
-            counts[key] = _completions(*key)[0][0]
-        _check_budget(n, lengths, budget, counts[key])
+        _check_budget(n, lengths, budget, _unpruned(n, sum(lengths)))
     odd = max((n for n, _ in points if n % 2), default=0)
     even = max((n for n, _ in points if not n % 2), default=0)
     walks: dict[tuple, ChainExpectation] = {}

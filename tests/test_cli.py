@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -378,6 +380,8 @@ class TestBadInput:
             pytest.param(["sample", "--bogus", "1"], id="unknown-flag"),
             pytest.param([], id="no-command"),
             pytest.param(["bogus"], id="unknown-command"),
+            pytest.param(["orac"], id="abbreviated-command"),
+            pytest.param(["--n", "3"], id="flag-before-command"),
             pytest.param(["sample", "--n", "2", "--seed", "-1"], id="sample-negative-seed"),
             pytest.param(["spectrum", "--n", "2", "--seed", "-1"], id="spectrum-negative-seed"),
             pytest.param(
@@ -466,11 +470,21 @@ class TestBadInput:
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_0_and_lists_only_read_flags(self, capsys):
+        for name, (_, keys) in _COMMANDS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
+            assert flags == {"help", "config", *keys}, name
+
+    def test_top_level_help_exits_0_and_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["variance", "--help"])
+            main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--nodes" in out and "--n " not in out and "--seed" not in out
+        assert "{" + ",".join(_COMMANDS) + "}" in out
+        for name in _COMMANDS:
+            assert re.search(rf"^ +{name} +\S", out, re.M), name
 
 
 class TestSettingsTable:
@@ -504,6 +518,24 @@ class TestSettingsTable:
 
         assert handler(Recording(**vars(cfg))) == 0
         assert set(vars(cfg)) <= read
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_known_command_builds_only_its_own_parser(self, name, monkeypatch):
+        # a call's fixed cost: one subparser, not one per command; an
+        # unknown command still builds them all for the error that lists them
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def record(self, command, **kwargs):
+            built.append(command)
+            return add_parser(self, command, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", record)
+        _configure([name])
+        assert built == [name]
+        with pytest.raises(cl.ConfigError, match="invalid choice: 'orac'"):
+            _configure(["orac"])
+        assert built[1:] == list(_COMMANDS)
 
     def test_defaults_pass_their_checks(self):
         for setting in SETTINGS.values():

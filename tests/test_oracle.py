@@ -258,8 +258,8 @@ class TestConvergenceTable:
         assert seen == []
 
     def test_budget_counts_each_order_and_width_once(self, monkeypatch):
-        # 27 grid points but 18 distinct (n, width) counts before the walks,
-        # in grid order, then one count in each of the 9 walks
+        # 27 grid points but 18 distinct (n, width) counts, in grid order,
+        # all before the walks; the 9 walks build no table again
         counted = []
         completions = oracle._completions
 
@@ -268,11 +268,25 @@ class TestConvergenceTable:
             return completions(n, width)
 
         monkeypatch.setattr(oracle, "_completions", record)
+        oracle._unpruned.cache_clear()
         cl.convergence_table([2, 3, 4], [2, 3], [5, 6, 7])
         widths = [2, 3, 4, 4, 5, 5, 6, 6, 7]
         grid = [(n, w) for n in (5, 6, 7) for w in widths]
-        assert counted[:18] == list(dict.fromkeys(grid))
-        assert sorted(counted[18:]) == sorted((7, w) for w in widths)
+        assert counted == list(dict.fromkeys(grid))
+        assert len(counted) == 18
+        # a call of its own counts for itself, once per (n, width)
+        cl.oracle_double_chain(8, 3, 3)
+        cl.oracle_single_chain(8, 6)
+        assert counted[18:] == [(8, 6)]
+
+    def test_rows_agree_across_the_int16_bound(self):
+        # a walk's rows are int16 up to n = 181, where cell ids reach
+        # 181**2 - 1 = 32,760, and int32 from n = 182; the rows at 180 and
+        # 181 are served from the int32 walks at 182 and 183 and must equal
+        # their own int16 walks bitwise
+        for n, dtype in [(181, np.int16), (182, np.int32)]:
+            assert next(oracle._representatives(n, (3, 3)))[0].dtype == dtype
+        _assert_rows_match_calls(cl.convergence_table([4], [2], [180, 181, 182, 183]))
 
     def test_bad_length_checked_before_any_walk(self, monkeypatch):
         # the single chain k = 2 is fine, the double chain (2, 0) is not
@@ -296,32 +310,86 @@ def test_double_chain_symmetry_property(n, k, l):
     )
 
 
-def _brute_force(n: int, lengths: tuple[int, ...]) -> float:
-    """Independent reference: every index tuple, classes by ``entry_class``."""
+def _brute_force(
+    n: int, lengths: tuple[int, ...]
+) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+    """Independent reference for a walk's value, ``pair_sums`` and ``even_pair_sums``.
+
+    Every index tuple, its classes by ``entry_class`` and its term an exact
+    product of (m - 1)!!.  A tuple visiting r mirror pairs lies in an orbit
+    of ``(h)_r * 2**r`` tuples whose representative uses r pairs, so the
+    sum of the terms of those tuples over that size is the r-th pair sum;
+    the even sums keep only the tuples off the middle index of odd n.
+    """
+    h, odd = divmod(n, 2)
+    width = sum(lengths)
     cls = {(i, j): cl.entry_class(n, i, j) for i in range(n) for j in range(n)}
-    total = 0.0
-    for tup in itertools.product(range(n), repeat=sum(lengths)):
+    sums = [0] * (min(h, width) + 1)
+    even = list(sums)
+    for tup in itertools.product(range(n), repeat=width):
         cells = []
         off = 0
         for length in lengths:
             chain = tup[off : off + length]
             cells += [cls[chain[t], chain[(t + 1) % length]] for t in range(length)]
             off += length
-        term = 1.0
-        for mult in Counter(cells).values():
-            term *= cl.gaussian_moment(mult)
-        total += term
-    return total / float(n) ** (sum(lengths) / 2)
+        mults = Counter(cells).values()
+        if any(m % 2 for m in mults):
+            continue
+        term = math.prod(math.prod(range(m - 1, 0, -2)) for m in mults)
+        pairs = len({min(i, n - 1 - i) for i in tup if 2 * i != n - 1})
+        sums[pairs] += term
+        if not (odd and h in tup):
+            even[pairs] += term
+    value = float(Fraction(sum(sums), n ** (width // 2)))
+    sizes = [math.perm(h, r) * 2**r for r in range(len(sums))]
+    assert all(s % size == 0 for s, size in zip(sums + even, sizes + sizes))
+    return value, *(tuple(s // z for s, z in zip(part, sizes)) for part in (sums, even))
+
+
+def _pairs(n: int, tup) -> int:
+    """The number of mirror pairs the indices of ``tup`` visit."""
+    return len({min(i, n - 1 - i) for i in tup if 2 * i != n - 1})
+
+
+def _canonical(n: int, tup) -> bool:
+    """Whether ``tup`` is its orbit's representative.
+
+    Each new mirror pair enters by its lower index, in order: pair u is
+    first visited at index u.
+    """
+    u = 0
+    for i in tup:
+        if 2 * i == n - 1 or min(i, n - 1 - i) < u:
+            continue
+        if i != u:
+            return False
+        u += 1
+    return True
+
+
+def _odd_classes(n: int, lengths: tuple[int, ...], prefix) -> tuple[int, int]:
+    """Classes a prefix's determined cells hit an odd number of times, and cells left open."""
+    cells = []
+    off = 0
+    for length in lengths:
+        chain = prefix[off : off + length]
+        cells += [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
+        if len(chain) == length:
+            cells.append((chain[-1], chain[0]))
+        off += length
+    counts = Counter(cl.entry_class(n, i, j) for i, j in cells)
+    return sum(m % 2 for m in counts.values()), sum(lengths) - len(cells)
 
 
 class TestOrbitEnumeration:
     def test_matches_brute_force_reference(self):
         for n in range(1, 7):
             for w in range(1, 7):
-                assert cl.oracle_single_chain(n, w).value == _brute_force(n, (w,))
+                assert cl.oracle_single_chain(n, w).value == _brute_force(n, (w,))[0]
                 for k in range(1, w):
                     got = cl.oracle_double_chain(n, k, w - k).value
-                    assert got == _brute_force(n, (k, w - k)), (n, k, w - k)
+                    assert got == _brute_force(n, (k, w - k))[0], (n, k, w - k)
 
     @staticmethod
     def _record_blocks(monkeypatch) -> list[int]:
@@ -371,26 +439,30 @@ class TestOrbitEnumeration:
     def test_dropped_prefixes_cannot_close(self, n, lengths):
         # recount each dropped prefix's determined cells from its digits:
         # more classes hit an odd number of times than cells left open
-        # (or the wrong parity), so no completion has a nonzero term
+        # (or the wrong parity), so no completion has a nonzero term.  A
+        # dropped block of full width holds no rows, only the pairs used by
+        # the representatives that do not close and have no dropped proper
+        # prefix, recounted here from every canonical tuple
         width = sum(lengths)
-        walk = oracle._representatives(n, lengths)
-        seen = 0
-        for rows, _, dropped in walk:
-            for row in rows.tolist() if dropped else []:
-                cells = []
-                off = 0
-                for length in lengths:
-                    chain = row[off : off + length]
-                    cells += [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
-                    if len(chain) == length:
-                        cells.append((chain[-1], chain[0]))
-                    off += length
-                counts = Counter(cl.entry_class(n, i, j) for i, j in cells)
-                odd = sum(m % 2 for m in counts.values())
-                left = width - len(cells)
+        shallow, unbuilt = set(), Counter()
+        for rows, used, dropped in oracle._representatives(n, lengths):
+            if not dropped:
+                continue
+            if rows.shape[1] == width:
+                assert rows.shape == (0, width)
+                unbuilt.update(used.tolist())
+            for row in rows.tolist():
+                odd, left = _odd_classes(n, lengths, row)
                 assert odd > left or (odd - left) % 2, (row, odd, left)
-                seen += 1
-        assert seen > 0
+                shallow.add(tuple(row))
+        expected = Counter(
+            _pairs(n, tup)
+            for tup in itertools.product(range(n), repeat=width)
+            if _canonical(n, tup)
+            and _odd_classes(n, lengths, tup)[0]
+            and not any(tup[:d] in shallow for d in range(width))
+        )
+        assert shallow and unbuilt and unbuilt == expected
 
     @pytest.mark.parametrize(
         "n, lengths",
@@ -405,7 +477,7 @@ class TestOrbitEnumeration:
         # three and four chains: each chain's closing cell is determined
         # when its last index is placed, mid-row
         got = oracle._enumerate(n, lengths, oracle.DEFAULT_TERM_BUDGET)[0]
-        assert got == _brute_force(n, lengths)
+        assert got == _brute_force(n, lengths)[0]
 
     @pytest.mark.parametrize("n, lengths", [(9, (4, 4)), (40, (5, 5))])
     def test_block_sum_matches_per_row_reference(self, n, lengths):
@@ -454,6 +526,44 @@ class TestOrbitEnumeration:
                 free[u] += term
         assert free != expected if n % 2 else free == expected
         assert oracle._block_sum(rows, used, lengths, n) == (expected, free)
+
+    @staticmethod
+    def _record_full_rows(monkeypatch, width: int) -> list[int]:
+        """Record the number of full-width rows each row build makes."""
+        built = []
+        rows = oracle._rows
+
+        def record(prefixes, parent, digit):
+            out = rows(prefixes, parent, digit)
+            if out.shape[1] == width:
+                built.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(oracle, "_rows", record)
+        return built
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 13])
+    @pytest.mark.parametrize("lengths", [(4,), (6,), (3, 3), (4, 2), (2, 1), (1, 1)])
+    def test_last_level_builds_only_rows_it_evaluates(self, monkeypatch, n, lengths):
+        # the last index is placed only where its new cells close the
+        # parent's odd classes, also at n <= 2 where the walk counts none
+        # and every chain closes; the values and sums are the reference's
+        width = sum(lengths)
+        built = self._record_full_rows(monkeypatch, width)
+        got = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+        assert sum(built) == got.representatives
+        if n ** width > 10**6:
+            return  # 13**6 tuples: past the reference's reach
+        value, sums, even = _brute_force(n, lengths)
+        assert (got.value, got.pair_sums, got.even_pair_sums) == (value, sums, even)
+
+    @pytest.mark.parametrize("n, lengths, rows", [(20, (12,), 142_358), (25, (6, 6), 357_333)])
+    def test_wide_walks_build_only_rows_they_evaluate(self, monkeypatch, n, lengths, rows):
+        # building every child of the last level made 1,995,096 and
+        # 5,985,604 full-width rows
+        built = self._record_full_rows(monkeypatch, sum(lengths))
+        _, evaluated, _ = oracle._enumerate(n, lengths, 2**62)
+        assert sum(built) == evaluated == rows
 
     def test_coverage_check_survives_optimized_mode(self):
         # a bare assert would vanish under python -O and let a wrong value through
