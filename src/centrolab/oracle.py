@@ -9,8 +9,7 @@ Carlo estimates and the asymptotic constants (2, 4, 2k, 2k+4) are
 checked.  The class of a cell is ``centro._class_id`` of its row-major
 id, the one spelling of the reflection rule in code; ``entry_class``
 spells it independently, as a tuple minimum, for the references the
-tests check this module against.  The walk and the block sums both read
-a chain's cells from ``_fixed_cells``.
+tests check this module against.
 
 A chain's Wick term depends only on which reflection classes its cells
 hit, so it is the same for every chain in one orbit of the index maps
@@ -58,18 +57,18 @@ caps the number of representatives before pruning: it is counted
 exactly, from the completion table, before the walk starts, and it
 bounds the rows evaluated (``ChainExpectation.representatives``).
 
-Surviving representatives are gathered into blocks of ``_BLOCK`` rows
-(the last block of a walk holds the rest).  A block is evaluated from
-its rows' class ids, sorted within each row so that the cells of one
-class form a run: one pass over the sorted columns tracks each row's
-run length and multiplies in a run's moment where the run ends.
-Everything is an exact integer: each Wick term is a product of entries
-of one (m-1)!! table, held in int64 where ``(w-1)!!`` times the block's
-rows stays below ``2**63`` and as Python ints otherwise; the terms are
-summed per number of pairs used as Python ints, those sums are weighted
-by the orbit sizes, and the total is divided by ``n**(w // 2)`` once.
-So the value is the correctly rounded exact expectation (``inf`` past
-the double range) in any block order.
+The walk scores each Wick term as it tallies classes: a new cell whose
+class the row has already hit an odd number j of times multiplies the
+row's term by j, so the (2t)-th hit of a class brings the factor
+2t - 1 and a closed chain's term is the product of ``(m_c - 1)!!`` over
+its classes.  Everything is an exact integer: the terms are int64 where
+``(w-1)!!``, which bounds each of them, times ``_BLOCK`` stays below
+``2**63``, and Python ints otherwise; the closing rows come in chunks of
+at most ``_BLOCK``, each chunk's terms are summed per number of pairs
+used, those sums are added as Python ints and weighted by the orbit
+sizes, and the total is divided by ``n**(w // 2)`` once.  So the value
+is the correctly rounded exact expectation (``inf`` past the double
+range) in any chunk order.
 """
 
 from __future__ import annotations
@@ -95,15 +94,7 @@ __all__ = [
 ]
 
 DEFAULT_TERM_BUDGET = 10**8
-_BLOCK = 1 << 16  # orbit representatives per vectorized block
-
-
-def _moments(m: int) -> list[int]:
-    """Exact ``E[x^j]`` for standard normal x, j = 0 .. m: (j-1)!! or 0 for odd j."""
-    table = [1, 0]
-    for j in range(2, m + 1):
-        table.append((j - 1) * table[j - 2])
-    return table[: m + 1]
+_BLOCK = 1 << 16  # most children grown from one chunk of prefixes
 
 
 def _quotient(num: int, den: int) -> float:
@@ -118,7 +109,7 @@ def gaussian_moment(m: int) -> float:
     """E[x^m] for standard normal x: (m-1)!! for even m, 0 for odd m."""
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
-    return _quotient(_moments(m)[m], 1)
+    return 0.0 if m % 2 else _quotient(math.prod(range(m - 1, 0, -2)), 1)
 
 
 @dataclass(frozen=True)
@@ -135,10 +126,19 @@ class ChainExpectation:
     final rounding.  A representative's term depends only on its sequence
     of pair symbols, not on n, so the sums of one walk hold for every
     order of the same parity with fewer pairs.  ``representatives`` is the
-    number of orbit representatives evaluated, the work done, after the
-    walk dropped every prefix whose completions all have a zero term; it
-    is 0 on a ``convergence_table`` row served from the walk at a larger
-    order.
+    number of orbit representatives with a nonzero term, the rows the
+    walk builds and scores at full width; it is 0 on a
+    ``convergence_table`` row served from the walk at a larger order.
+
+    ``pair_sums[r]`` is 0 for r > w/2.  A nonzero term hits each of its
+    classes at least twice, so it hits at most w/2 classes.  The class
+    ``{(i, j), (n-1-i, n-1-j)}`` lies on one arc from the pair symbol of
+    i to that of j.  Each chain is a closed walk, so every symbol a
+    representative visits is the tail of one of its arcs: it visits no
+    more symbols than it has distinct arcs, and has no more arcs than
+    classes.  Each pair it uses is a symbol, so r <= w/2.  Hence a walk
+    at n = w + 1, where h = w/2 for even w, already holds every nonzero
+    sum.
 
     An even-order representative is an odd-order one that never visits
     the middle index, with the same term and orbit size, so
@@ -159,58 +159,6 @@ class ChainExpectation:
     @property
     def terms_enumerated(self) -> int:
         return self.n ** (self.k + (self.l or 0))
-
-
-def _block_sum(
-    digits: np.ndarray, used: np.ndarray, lengths: tuple[int, ...], n: int
-) -> tuple[list[int], list[int]]:
-    """Exact sums of the per-row Wick products of one block, by pairs used.
-
-    Each row of ``digits`` holds the concatenated indices of the chains
-    in ``lengths``; a chain of length L visits cells
-    (i_1, i_2), ..., (i_L, i_1).  A row's term is the product over its
-    distinct classes of the centered Gaussian moment of the class
-    multiplicity: ``prod (m_c - 1)!!`` if every multiplicity is even,
-    else zero.  Entry r of the first list sums the terms of the rows
-    using r mirror pairs (``used[t] == r``), for
-    r = 0 .. min(n // 2, width); the second list sums, the same way, only
-    the rows that never visit the middle index ``n // 2`` of odd n.  At
-    even n it is the first list.
-
-    Sorting each row's class ids makes a class's cells one run; one pass
-    over the columns carries every row's run length and product, and
-    where column p differs from column p - 1 the run that just ended
-    contributes its moment.
-    """
-    # flattened, the cells (p, q) come in the order p = 0 .. width - 1
-    succ = [q for placed in _fixed_cells(lengths) for _, q in placed]
-    ids = digits * n + digits[:, succ]
-    # numpy sorts short rows of int16 slower than rows of int32
-    cls = np.sort(_class_id(ids.astype(np.promote_types(ids.dtype, np.int32)), n), axis=1)
-
-    rows, width = cls.shape
-    moments = np.array(_moments(width), dtype=object)
-    if moments.max() * rows < 2**63:  # bounds every sum of terms: int64 is exact
-        moments = moments.astype(np.int64)
-    run = np.ones(rows, dtype=np.intp)  # length of each row's current run
-    term = np.ones(rows, dtype=moments.dtype)
-    for p in range(1, width):
-        ends = cls[:, p] != cls[:, p - 1]
-        term *= np.where(ends, moments[run], 1)
-        run = np.where(ends, 1, run + 1)
-    term *= moments[run]
-
-    def by_pairs(term):
-        # one unbuffered pass adds each term to the entry of its row's pairs
-        out = np.zeros(min(n // 2, width) + 1, dtype=term.dtype)
-        np.add.at(out, used, term)
-        return [int(s) for s in out]
-
-    sums = by_pairs(term)
-    if not n % 2:
-        return sums, sums
-    term[(digits == n // 2).any(axis=1)] = 0
-    return sums, by_pairs(term)
 
 
 def _orbit_sizes(n: int, width: int) -> list[int]:
@@ -337,29 +285,26 @@ def _fixed_cells(lengths: tuple[int, ...]) -> list[list[tuple[int, int]]]:
 
 def _representatives(
     n: int, lengths: tuple[int, ...]
-) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Yield ``(rows, used, dropped)`` blocks of canonical orbit prefixes.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Yield ``(rows, used, term)`` chunks of canonical orbit prefixes.
 
     ``rows`` holds one prefix of indices per row and ``used`` the number
-    of mirror pairs each uses.  A block with ``dropped`` false holds
-    full-width representatives to evaluate: exactly ``_BLOCK`` of them,
-    except in the last such block, which holds fewer.  A dropped block
-    holds prefixes every completion of which hits some class an odd
-    number of times, so that its Wick term is zero.  A dropped block of
-    full width holds no rows (its ``rows`` has shape ``(0, width)``), only
-    the pairs each of its chains uses: those are counted, never built.
+    of mirror pairs each uses.  A chunk with a ``term`` holds at most
+    ``_BLOCK`` full-width representatives that close, each with its exact
+    Wick term.  A dropped chunk, with ``term`` None, holds prefixes every
+    completion of which hits some class an odd number of times, so that
+    its Wick term is zero.  A dropped chunk of full width holds no rows
+    (its ``rows`` has shape ``(0, width)``), only the pairs each of its
+    chains uses: those are counted, never built.
 
     The rule: a prefix whose determined cells hit o classes an odd number
     of times, with r cells still open, is dropped unless o <= r and
     o = r (mod 2).  o has the parity of the determined cells, so the
     parity test fails, at every depth, exactly when the width is odd; then
-    the root is dropped.  At even width a prefix fails only if
-    o >= r + 2, which needs more determined cells than open ones and at
-    least r + 2 classes.  Where some proper prefix can fail, each row's
-    odd classes are counted as its indices are placed, down to the full
-    rows, where the rule drops exactly the zero terms.  Elsewhere (n <= 2,
-    or too few determined cells) nothing is counted, and the block sums
-    meet the zero terms themselves.
+    the root is dropped.  At even width each row's classes are tallied as
+    its indices are placed: how many it hits an odd number of times, and
+    its term so far, which the (2t)-th hit of a class multiplies by
+    2t - 1.  At full width the rule drops exactly the zero terms.
 
     The last index is placed without building the rows it cannot close.
     Its one or two new cells close a parent with o odd classes (o <= 2
@@ -368,9 +313,8 @@ def _representatives(
     the odd class).  The classes of a closed chain XOR to 0, so each
     child's new classes are XORed into its parent's XOR of classes first,
     from the parent's columns alone.  Only the children whose XOR
-    vanishes have their odd classes counted, and only those that close
-    are built, so the full-width rows built are the rows evaluated.
-    Where nothing is counted, every child is built.
+    vanishes are tallied in full, and only those that close are built,
+    so the full-width rows built are the rows scored.
 
     The surviving prefixes of each depth wait in one queue and grow one
     level at a time, a chunk of parents at a time.  A depth-d prefix
@@ -388,15 +332,16 @@ def _representatives(
     dtype = next(t for t in (np.int16, np.int32, np.int64) if n * n <= np.iinfo(t).max)
     root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
     if width % 2:
-        yield *root, True
+        yield *root, None
         return
-    h, odd = divmod(n, 2)
+    h = n // 2
     cells = _fixed_cells(lengths)
     fixed = list(accumulate((len(c) for c in cells), initial=0))  # determined at depth d
     tables = _child_tables(n, width, dtype)
-    classes = (n * n + 1) // 2
-    if not any(2 * f >= width + 2 and width - f <= classes - 2 for f in fixed[1:width]):
-        cells, fixed = [[]] * width, [0] * (width + 1)  # no prefix can fail: count nothing
+    # (w-1)!! bounds every term: int64 holds the sum of a chunk's terms
+    exact = np.int64 if math.prod(range(width - 1, 0, -2)) * _BLOCK < 2**63 else object
+    # a class is hit at most width times; a narrow count keeps the tally fast
+    count = np.int16 if width < 2**15 else np.int64
 
     def placed(rows, parent, digit):
         # each child's class of each cell its new index determines
@@ -405,72 +350,80 @@ def _representatives(
             i, k = (digit if x == depth - 1 else rows[:, x].take(parent) for x in (p, q))
             yield _class_id(i * n + k, n)
 
-    def tally(seen, odd, parent, classes):
-        # each child's classes, its parent's then its new ones, and how
-        # many it hits an odd number of times
+    def tally(seen, odd, term, parent, classes):
+        # each child's classes, its parent's then its new ones, how many it
+        # hits an odd number of times, and its term so far
         known = seen.shape[0]
         grown = np.empty((known + len(classes), parent.size), dtype=seen.dtype)
         # "clip" writes straight into out; the default mode buffers a copy
         seen.take(parent, axis=1, out=grown[:known], mode="clip")
-        odd = odd[parent]
+        odd, term = odd[parent], term[parent]
         for j, cls in enumerate(classes, known):
             grown[j] = cls
-            odd += 1 - 2 * np.logical_xor.reduce(grown[:j] == cls, axis=0)
-        return grown, odd
+            hits = np.add.reduce(grown[:j] == cls, axis=0, dtype=count)
+            odd_hits = hits & 1
+            odd += 1 - 2 * odd_hits
+            term *= np.where(odd_hits, hits, 1)
+        return grown, odd, term
 
-    def grow(rows, used, seen, odd):
+    def grow(rows, used, seen, odd, term):
         # extend by one index short of full width: the children kept, and
-        # the block dropped or None
+        # the chunk dropped or None
         parent, digit, used = _children(used, tables)
-        grown, odd = tally(seen, odd, parent, list(placed(rows, parent, digit)))
+        grown, odd, term = tally(seen, odd, term, parent, list(placed(rows, parent, digit)))
         keep = odd <= width - fixed[rows.shape[1] + 1]
         if keep.all():
-            return (_rows(rows, parent, digit), used, grown, odd), None
+            return (_rows(rows, parent, digit), used, grown, odd, term), None
         # compress copies contiguous runs; a boolean index goes item by item
         drop = ~keep
         dropped = _rows(rows, parent.compress(drop), digit.compress(drop)), used.compress(drop)
         kept = _rows(rows, parent.compress(keep), digit.compress(keep)), used.compress(keep)
-        return (*kept, grown.compress(keep, axis=1), odd.compress(keep)), (*dropped, True)
+        tallied = grown.compress(keep, axis=1), odd.compress(keep), term.compress(keep)
+        return (*kept, *tallied), (*dropped, None)
 
-    def close(rows, used, seen, odd):
-        # place the last index: the full rows that close, and the block of
-        # the other children, counted but not built, or None
+    def close(rows, used, seen, odd, term):
+        # place the last index: the full rows that close, with their terms,
+        # and the chunk of the other children, counted but not built, or None
         parent, digit, used = _children(used, tables)
         classes = list(placed(rows, parent, digit))
-        if not classes:  # nothing is counted: every child is built
-            return (_rows(rows, parent, digit), used), None
         # the classes of a closed chain XOR to 0: only the children whose
-        # classes do are counted in full
+        # classes do are tallied in full
         xor = np.bitwise_xor.reduce(seen, axis=0).take(parent)
         for cls in classes:
             xor ^= cls
         test = np.flatnonzero(xor == 0)
-        _, left = tally(seen, odd, parent[test], [cls[test] for cls in classes])
-        built = test[left == 0]
+        _, left, term = tally(seen, odd, term, parent[test], [cls[test] for cls in classes])
+        shut = left == 0
+        built = test[shut]
         unbuilt = np.ones(used.size, dtype=bool)
         unbuilt[built] = False
         lost = used.compress(unbuilt)
-        dropped = (np.empty((0, width), dtype=rows.dtype), lost, True) if lost.size else None
-        return (_rows(rows, parent[built], digit[built]), used[built]), dropped
+        dropped = (np.empty((0, width), dtype=rows.dtype), lost, None) if lost.size else None
+        return (_rows(rows, parent[built], digit[built]), used[built], term[shut]), dropped
 
     def part(state, index):
-        rows, used, seen, odd = state
-        return rows[index], used[index], seen[:, index], odd[index]
+        rows, used, seen, odd, term = state
+        return rows[index], used[index], seen[:, index], odd[index], term[index]
 
     def join(head, tail):
         # two queued states of one depth as one; seen holds a column per row
         if head is None:
             return tail
-        rows, used, seen, odd = zip(head, tail)
-        return np.concatenate(rows), np.concatenate(used), np.hstack(seen), np.concatenate(odd)
+        rows, used, seen, odd, term = zip(head, tail)
+        return (
+            np.concatenate(rows),
+            np.concatenate(used),
+            np.hstack(seen),
+            np.concatenate(odd),
+            np.concatenate(term),
+        )
 
     queue: list[tuple | None] = [None] * width
-    # no cell is determined at the root, so no class is odd
-    queue[0] = (*root, np.empty((0, 1), dtype=dtype), np.zeros(1, dtype=np.int64))
+    # no cell is determined at the root: no class is odd, the term is 1
+    queue[0] = (*root, np.empty((0, 1), dtype=dtype), np.zeros(1, np.int64), np.ones(1, exact))
     branch = tables[0].tolist()  # most children at depth d: at u = min(d, h) pairs
     chunk = [_BLOCK // branch[min(d, h)] for d in range(width)]
-    full: list[tuple[np.ndarray, np.ndarray]] = []  # full-width rows not yet yielded
-    held = low = depth = 0  # low: the shallowest depth whose queue may be nonempty
+    low = depth = 0  # low: the shallowest depth whose queue may be nonempty
     while low < width:
         state = queue[depth]
         size = 0 if state is None else state[1].size
@@ -487,18 +440,18 @@ def _representatives(
             yield dropped
         if not children[1].size:
             continue
-        if depth + 1 < width:
-            queue[depth + 1] = join(queue[depth + 1], children)
-            depth += queue[depth + 1][1].size >= chunk[depth + 1]
+        if depth + 1 == width:
+            yield children
             continue
-        full.append(children[:2])
-        held += children[1].size
-        if held >= _BLOCK:
-            rows, used = full[0] if len(full) == 1 else map(np.concatenate, zip(*full))
-            yield rows[:_BLOCK], used[:_BLOCK], False
-            full, held = [(rows[_BLOCK:], used[_BLOCK:])], held - _BLOCK
-    if held:
-        yield *(np.concatenate(parts) for parts in zip(*full)), False
+        queue[depth + 1] = join(queue[depth + 1], children)
+        depth += queue[depth + 1][1].size >= chunk[depth + 1]
+
+
+def _by_pairs(sums: list[int], used: np.ndarray, term: np.ndarray) -> list[int]:
+    """``sums`` plus each row's ``term`` at the entry of the pairs it ``used``."""
+    out = np.zeros(len(sums), dtype=term.dtype)
+    np.add.at(out, used, term)  # one unbuffered pass
+    return [s + int(t) for s, t in zip(sums, out)]
 
 
 def _check_args(n: int, lengths: tuple[int, ...]) -> None:
@@ -529,8 +482,8 @@ def _enumerate(
 ) -> tuple[float, int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Wick sum over all ``n**w`` chains of the given lengths over ``n**(w/2)``.
 
-    Returns the value, the number of representatives evaluated and the
-    exact Wick sums split by pairs used, of all representatives and of
+    Returns the value, the number of representatives with a nonzero term
+    and the exact Wick sums split by pairs used, of all representatives and of
     those off the middle index (``ChainExpectation.pair_sums`` and
     ``even_pair_sums``).  Raises as ``_check_budget`` does before any work.
     """
@@ -539,11 +492,12 @@ def _enumerate(
     sizes = _orbit_sizes(n, width)
     sums = even = [0] * len(sizes)
     covered = evaluated = 0
-    for rows, used, dropped in _representatives(n, lengths):
-        if not dropped:
-            block, block_even = _block_sum(rows, used, lengths, n)
-            sums = [a + b for a, b in zip(sums, block)]
-            even = [a + b for a, b in zip(even, block_even)]
+    for rows, used, term in _representatives(n, lengths):
+        if term is not None:
+            sums = _by_pairs(sums, used, term)
+            if n % 2:  # the even sums keep the rows off the middle index
+                term[(rows == n // 2).any(axis=1)] = 0
+                even = _by_pairs(even, used, term)
             evaluated += used.size
         # a depth-d prefix using u pairs stands for the sizes[u] prefixes of
         # its orbit, each completed by all n**(w-d) index tuples
@@ -552,7 +506,7 @@ def _enumerate(
         covered += orbits * n ** (width - rows.shape[1])
     if covered != n**width:
         raise AssertionError(f"orbits cover {covered} of {n**width} index tuples")
-    return _weigh(sums, n, width), evaluated, (tuple(sums), tuple(even))
+    return _weigh(sums, n, width), evaluated, (tuple(sums), tuple(even if n % 2 else sums))
 
 
 def _chain(n: int, lengths: tuple[int, ...], budget: int) -> ChainExpectation:

@@ -392,48 +392,62 @@ class TestOrbitEnumeration:
                     assert got == _brute_force(n, (k, w - k))[0], (n, k, w - k)
 
     @staticmethod
-    def _record_blocks(monkeypatch) -> list[int]:
+    def _record_chunks(monkeypatch) -> list[int]:
+        """Record the number of rows of each scored chunk the walks yield."""
         rows = []
-        block_sum = oracle._block_sum
+        walk = oracle._representatives
 
-        def record(digits, weights, lengths, n):
-            rows.append(digits.shape[0])
-            return block_sum(digits, weights, lengths, n)
+        def record(n, lengths):
+            for chunk in walk(n, lengths):
+                if chunk[2] is not None:
+                    rows.append(chunk[1].size)
+                yield chunk
 
-        monkeypatch.setattr(oracle, "_block_sum", record)
+        monkeypatch.setattr(oracle, "_representatives", record)
         return rows
 
     @pytest.mark.parametrize("call", [(2, (18,)), (8, (3, 3, 3, 3))])
     def test_blocks_stay_bounded(self, monkeypatch, call):
-        # n = 2 prunes nothing; (3,3,3,3) at n = 8 keeps 208,880 of its
+        # n = 2 drops nothing; (3,3,3,3) at n = 8 keeps 208,880 of its
         # 202,943,744 representatives (past the default budget); both
-        # reach the block sums in full blocks
-        rows = self._record_blocks(monkeypatch)
+        # score their rows in several chunks of at most _BLOCK
+        rows = self._record_chunks(monkeypatch)
         _, evaluated, _ = oracle._enumerate(*call, 2**62)
         assert len(rows) > 1
         assert max(rows) <= oracle._BLOCK
-        assert rows[:-1] == [oracle._BLOCK] * (len(rows) - 1)
         assert evaluated == sum(rows)
 
     def test_odd_width_evaluates_no_row(self, monkeypatch):
         # an odd total width leaves some class hit an odd number of times in
         # every chain: the root itself is dropped, covering all n**w tuples
-        rows = self._record_blocks(monkeypatch)
+        rows = self._record_chunks(monkeypatch)
         got = cl.oracle_double_chain(3, 6, 5)
         assert got.value == 0.0 and got.representatives == 0 and rows == []
         walk = list(oracle._representatives(3, (6, 5)))
-        assert [(r.shape, u.tolist(), dropped) for r, u, dropped in walk] == [
-            ((1, 0), [0], True)
-        ]
+        assert [(r.shape, u.tolist(), term) for r, u, term in walk] == [((1, 0), [0], None)]
 
     def test_pruning_counts_rows_evaluated(self):
         # only the chains whose every class is hit an even number of times
-        # reach the block sums once the odd classes are counted; at n = 2
-        # no prefix can fail, so every representative is evaluated
+        # are scored; at n = 2 every chain closes and all 2**17 are scored
         assert cl.oracle_double_chain(9, 4, 4).representatives == 2_121
         assert cl.oracle_double_chain(40, 5, 5).representatives == 9_162
         assert cl.oracle_single_chain(2, 18).representatives == 2**17
         assert cl.oracle_single_chain(5, 7).representatives == 0
+        assert cl.oracle_single_chain(9, 4).representatives == 15
+
+    @pytest.mark.parametrize("lengths", [(2,), (4,), (2, 2), (1, 3)])
+    def test_representatives_count_nonzero_terms(self, lengths):
+        # at every n, the canonical representatives whose every class is
+        # hit an even number of times, recounted from every index tuple
+        width = sum(lengths)
+        for n in range(3, 10):
+            expected = sum(
+                1
+                for tup in itertools.product(range(n), repeat=width)
+                if _canonical(n, tup) and not _odd_classes(n, lengths, tup)[0]
+            )
+            got = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+            assert got.representatives == expected, n
 
     @pytest.mark.parametrize("n, lengths", [(5, (3, 3)), (6, (2, 1, 3)), (4, (4, 4)), (7, (1, 5))])
     def test_dropped_prefixes_cannot_close(self, n, lengths):
@@ -445,8 +459,8 @@ class TestOrbitEnumeration:
         # prefix, recounted here from every canonical tuple
         width = sum(lengths)
         shallow, unbuilt = set(), Counter()
-        for rows, used, dropped in oracle._representatives(n, lengths):
-            if not dropped:
+        for rows, used, term in oracle._representatives(n, lengths):
+            if term is not None:
                 continue
             if rows.shape[1] == width:
                 assert rows.shape == (0, width)
@@ -480,52 +494,39 @@ class TestOrbitEnumeration:
         assert got == _brute_force(n, lengths)[0]
 
     @pytest.mark.parametrize("n, lengths", [(9, (4, 4)), (40, (5, 5))])
-    def test_block_sum_matches_per_row_reference(self, n, lengths):
-        # widths 8 and 10, past the brute-force reference: each row's
-        # classes counted one at a time, its term a product of (m - 1)!!;
-        # walked rows (all nonzero terms here) and random rows (mostly zero)
-        width = sum(lengths)
-        pairs = min(n // 2, width) + 1
-        walked = [
-            (rows, used)
-            for rows, used, dropped in oracle._representatives(n, lengths)
-            if not dropped
-        ]
-        rows = np.concatenate([rows for rows, _ in walked])
-        used = np.concatenate([used for _, used in walked])
-        step = rows.shape[0] // 1000
-        rng = np.random.default_rng(1729)
-        rows = np.concatenate(
-            (rows[::step][:1000], rng.integers(0, n, (1000, width), dtype=rows.dtype))
-        )
-        used = np.concatenate((used[::step][:1000], rng.integers(0, pairs, 1000)))
-        expected = [0] * pairs
+    def test_walked_terms_match_per_row_reference(self, n, lengths):
+        # widths 8 and 10, past the brute-force reference: each scored
+        # row's classes counted one at a time, its term a product of
+        # (m - 1)!!; the sums of all rows and of the rows off the middle
+        # index of odd n (at even n, every row) are the walk's sums
+        pairs = min(n // 2, sum(lengths)) + 1
+        expected, free = [0] * pairs, [0] * pairs
         terms = []
-        nonzero = 0
-        for row, u in zip(rows.tolist(), used.tolist()):
-            cells = []
-            off = 0
-            for length in lengths:
-                chain = row[off : off + length]
-                cells += [
-                    cl.entry_class(n, chain[t], chain[(t + 1) % length]) for t in range(length)
-                ]
-                off += length
-            mults = Counter(cells).values()
-            term = math.prod(math.prod(range(m - 1, 0, -2)) for m in mults)
-            if any(m % 2 for m in mults):
-                term = 0
-            nonzero += term > 0
-            expected[u] += term
-            terms.append(term)
-        assert 0 < nonzero < len(rows) and len(set(used.tolist())) > 2
-        # the rows off the middle index of odd n; at even n, every row
-        free = [0] * pairs
-        for row, u, term in zip(rows.tolist(), used.tolist(), terms):
-            if n % 2 == 0 or n // 2 not in row:
-                free[u] += term
+        for rows, used, term in oracle._representatives(n, lengths):
+            if term is None:
+                continue
+            for row, u, got in zip(rows.tolist(), used.tolist(), term.tolist()):
+                cells = []
+                off = 0
+                for length in lengths:
+                    chain = row[off : off + length]
+                    cells += [
+                        cl.entry_class(n, chain[t], chain[(t + 1) % length])
+                        for t in range(length)
+                    ]
+                    off += length
+                mults = Counter(cells).values()
+                assert not any(m % 2 for m in mults), row
+                assert got == math.prod(math.prod(range(m - 1, 0, -2)) for m in mults), row
+                terms.append(got)
+                expected[u] += got
+                if n % 2 == 0 or n // 2 not in row:
+                    free[u] += got
+        assert max(terms) > 1 and sum(x > 0 for x in expected) > 2
         assert free != expected if n % 2 else free == expected
-        assert oracle._block_sum(rows, used, lengths, n) == (expected, free)
+        walk = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
+        assert (walk.pair_sums, walk.even_pair_sums) == (tuple(expected), tuple(free))
+        assert walk.representatives == len(terms)
 
     @staticmethod
     def _record_full_rows(monkeypatch, width: int) -> list[int]:
@@ -546,8 +547,8 @@ class TestOrbitEnumeration:
     @pytest.mark.parametrize("lengths", [(4,), (6,), (3, 3), (4, 2), (2, 1), (1, 1)])
     def test_last_level_builds_only_rows_it_evaluates(self, monkeypatch, n, lengths):
         # the last index is placed only where its new cells close the
-        # parent's odd classes, also at n <= 2 where the walk counts none
-        # and every chain closes; the values and sums are the reference's
+        # parent's odd classes, also at n <= 2 where every chain closes;
+        # the values and sums are the reference's
         width = sum(lengths)
         built = self._record_full_rows(monkeypatch, width)
         got = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
@@ -603,16 +604,38 @@ def test_orbit_sizes_cover_every_tuple(n, lengths):
     sizes = oracle._orbit_sizes(n, w)
     table = oracle._completions(n, w)
     covered = visited = evaluated = 0
-    for rows, used, dropped in oracle._representatives(n, tuple(lengths)):
+    for rows, used, term in oracle._representatives(n, tuple(lengths)):
         depth = rows.shape[1]
-        assert depth == w or dropped
+        assert depth == w or term is None
+        assert term is None or (term > 0).all()
         assert used.size > 0 and used.max() < len(table[depth])
         covered += sum(sizes[u] * n ** (w - depth) for u in used.tolist())
         visited += sum(table[depth][u] for u in used.tolist())
-        evaluated += 0 if dropped else used.size
+        evaluated += 0 if term is None else used.size
     assert covered == n**w
     assert visited == table[0][0]  # the count the budget is checked against
     assert evaluated <= table[0][0]
+
+
+_SHAPES_TO_WIDTH_10 = [(w,) for w in range(1, 11)] + [
+    (k, w - k) for w in range(2, 11) for k in range(1, w)
+]
+
+
+@pytest.mark.parametrize("lengths", _SHAPES_TO_WIDTH_10)
+def test_pair_sums_vanish_past_half_the_width(lengths):
+    # a nonzero term uses at most w/2 pairs (see ChainExpectation), so the
+    # walk at n = w + 1 holds every nonzero sum of the walk at 2w + 1,
+    # which pads them with zeros
+    w = sum(lengths)
+    wide = oracle._chain(2 * w + 1, lengths, oracle.DEFAULT_TERM_BUDGET)
+    half = w // 2 + 1
+    assert wide.pair_sums[half:] == wide.even_pair_sums[half:] == (0,) * (w + 1 - half)
+    assert w % 2 or any(wide.pair_sums)
+    narrow = oracle._chain(w + 1, lengths, oracle.DEFAULT_TERM_BUDGET)
+    pad = (0,) * (w + 1 - len(narrow.pair_sums))
+    assert narrow.pair_sums + pad == wide.pair_sums
+    assert narrow.even_pair_sums + pad == wide.even_pair_sums
 
 
 def _double_factorial(m: int) -> float:
