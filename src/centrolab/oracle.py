@@ -38,7 +38,7 @@ even order below it the same way.  ``convergence_table`` walks each
 chain shape once, at the largest odd order, and serves the other orders
 from those sums; only even orders above it take a second walk.
 
-Representatives are generated one index at a time, level by level, and
+Representatives are generated one index at a time, depth first, and
 the walk drops every prefix that can no longer close its odd classes: a
 chain's term is nonzero only if it hits every class an even number of
 times, so a prefix whose determined cells hit more classes an odd number
@@ -50,9 +50,10 @@ two new cells close its parent's odd classes (a parent with none needs
 two cells of one class, a parent with two needs cells of exactly those
 two), and the other children are counted, not built.  (6,6) at n = 25
 builds the 357,333 full-width rows it evaluates, where building every
-child of the last level made 5,985,604.  A dropped depth-d prefix or an
-unbuilt child still counts the index tuples below it, its orbit size
-times ``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget``
+child of the last level made 5,985,604.  No dropped prefix is built
+either: it is counted by the pairs it uses, and a dropped depth-d prefix
+still stands for the index tuples below it, its orbit size times
+``n**(w-d)``, so the ``n**w`` check stays exact.  The ``budget``
 caps the number of representatives before pruning: it is counted
 exactly, from the completion table, before the walk starts, and it
 bounds the rows evaluated (``ChainExpectation.representatives``).
@@ -291,20 +292,21 @@ def _representatives(
     ``rows`` holds one prefix of indices per row and ``used`` the number
     of mirror pairs each uses.  A chunk with a ``term`` holds at most
     ``_BLOCK`` full-width representatives that close, each with its exact
-    Wick term.  A dropped chunk, with ``term`` None, holds prefixes every
-    completion of which hits some class an odd number of times, so that
-    its Wick term is zero.  A dropped chunk of full width holds no rows
-    (its ``rows`` has shape ``(0, width)``), only the pairs each of its
-    chains uses: those are counted, never built.
+    Wick term.  A dropped chunk, with ``term`` None, stands for prefixes
+    every completion of which hits some class an odd number of times, so
+    that its Wick term is zero.  It holds no rows (its ``rows`` has shape
+    ``(0, depth)``), only the pairs each of its prefixes uses: those are
+    counted, never built.
 
     The rule: a prefix whose determined cells hit o classes an odd number
     of times, with r cells still open, is dropped unless o <= r and
     o = r (mod 2).  o has the parity of the determined cells, so the
     parity test fails, at every depth, exactly when the width is odd; then
-    the root is dropped.  At even width each row's classes are tallied as
-    its indices are placed: how many it hits an odd number of times, and
-    its term so far, which the (2t)-th hit of a class multiplies by
-    2t - 1.  At full width the rule drops exactly the zero terms.
+    the root is dropped, as a chunk of depth 0.  At even width each row's
+    classes are tallied as its indices are placed: how many it hits an
+    odd number of times, and its term so far, which the (2t)-th hit of a
+    class multiplies by 2t - 1.  At full width the rule drops exactly the
+    zero terms.
 
     The last index is placed without building the rows it cannot close.
     Its one or two new cells close a parent with o odd classes (o <= 2
@@ -316,23 +318,24 @@ def _representatives(
     vanishes are tallied in full, and only those that close are built,
     so the full-width rows built are the rows scored.
 
-    The surviving prefixes of each depth wait in one queue and grow one
-    level at a time, a chunk of parents at a time.  A depth-d prefix
-    uses u <= min(d, n // 2) pairs and has ``2u + odd + (u < h)``
-    children, so a chunk of ``_BLOCK`` over that count at the largest u
-    has at most ``_BLOCK`` children.  The walk grows from the deepest
-    queue that holds a full chunk, so no queue holds more than a chunk
-    plus one grown chunk's children; when no queue holds a full chunk it
-    grows all of the shallowest nonempty one, which nothing refills, so
-    at most one short chunk is grown per depth.
+    The walk is depth first, from one stack of ``(state, start)``
+    entries: a state holds the root or the children kept from one chunk
+    of parents, with their tallies, and ``start`` is its first prefix not
+    yet grown.  Each step pops an entry, pushes it back if prefixes are
+    left past the chunk it takes, grows or closes that chunk and pushes
+    the children kept on top.  A depth-d prefix uses u <= min(d, n // 2)
+    pairs and has ``2u + odd + (u < h)`` children, so a chunk of
+    ``_BLOCK`` over that count at the largest u has at most ``_BLOCK``
+    children.  The depths on the stack rise strictly from bottom to top,
+    so it holds at most ``width`` states of at most ``_BLOCK`` prefixes
+    each, and no recursion limits the width.
     """
     width = sum(lengths)
     # linear cell ids reach n*n - 1; the narrowest type that holds them
     # moves the least memory
     dtype = next(t for t in (np.int16, np.int32, np.int64) if n * n <= np.iinfo(t).max)
-    root = np.empty((1, 0), dtype=dtype), np.zeros(1, dtype=np.int64)
     if width % 2:
-        yield *root, None
+        yield np.empty((0, 0), dtype=dtype), np.zeros(1, dtype=np.int64), None
         return
     h = n // 2
     cells = _fixed_cells(lengths)
@@ -366,20 +369,23 @@ def _representatives(
             term *= np.where(odd_hits, hits, 1)
         return grown, odd, term
 
+    def dropped(used, depth):
+        # prefixes counted, not built: no rows, only the pairs each uses
+        return (np.empty((0, depth), dtype=dtype), used, None) if used.size else None
+
     def grow(rows, used, seen, odd, term):
         # extend by one index short of full width: the children kept, and
         # the chunk dropped or None
+        depth = rows.shape[1] + 1
         parent, digit, used = _children(used, tables)
         grown, odd, term = tally(seen, odd, term, parent, list(placed(rows, parent, digit)))
-        keep = odd <= width - fixed[rows.shape[1] + 1]
+        keep = odd <= width - fixed[depth]
         if keep.all():
             return (_rows(rows, parent, digit), used, grown, odd, term), None
         # compress copies contiguous runs; a boolean index goes item by item
-        drop = ~keep
-        dropped = _rows(rows, parent.compress(drop), digit.compress(drop)), used.compress(drop)
         kept = _rows(rows, parent.compress(keep), digit.compress(keep)), used.compress(keep)
         tallied = grown.compress(keep, axis=1), odd.compress(keep), term.compress(keep)
-        return (*kept, *tallied), (*dropped, None)
+        return (*kept, *tallied), dropped(used.compress(~keep), depth)
 
     def close(rows, used, seen, odd, term):
         # place the last index: the full rows that close, with their terms,
@@ -397,54 +403,33 @@ def _representatives(
         built = test[shut]
         unbuilt = np.ones(used.size, dtype=bool)
         unbuilt[built] = False
-        lost = used.compress(unbuilt)
-        dropped = (np.empty((0, width), dtype=rows.dtype), lost, None) if lost.size else None
-        return (_rows(rows, parent[built], digit[built]), used[built], term[shut]), dropped
+        full = _rows(rows, parent[built], digit[built]), used[built], term[shut]
+        return full, dropped(used.compress(unbuilt), width)
 
-    def part(state, index):
-        rows, used, seen, odd, term = state
-        return rows[index], used[index], seen[:, index], odd[index], term[index]
-
-    def join(head, tail):
-        # two queued states of one depth as one; seen holds a column per row
-        if head is None:
-            return tail
-        rows, used, seen, odd, term = zip(head, tail)
-        return (
-            np.concatenate(rows),
-            np.concatenate(used),
-            np.hstack(seen),
-            np.concatenate(odd),
-            np.concatenate(term),
-        )
-
-    queue: list[tuple | None] = [None] * width
     # no cell is determined at the root: no class is odd, the term is 1
-    queue[0] = (*root, np.empty((0, 1), dtype=dtype), np.zeros(1, np.int64), np.ones(1, exact))
+    root = np.empty((1, 0), dtype), np.zeros(1, np.int64), np.empty((0, 1), dtype)
+    stack = [((*root, np.zeros(1, np.int64), np.ones(1, exact)), 0)]
     branch = tables[0].tolist()  # most children at depth d: at u = min(d, h) pairs
     chunk = [_BLOCK // branch[min(d, h)] for d in range(width)]
-    low = depth = 0  # low: the shallowest depth whose queue may be nonempty
-    while low < width:
-        state = queue[depth]
-        size = 0 if state is None else state[1].size
-        if depth == low and not size:
-            low = depth = low + 1
-            continue
-        if depth > low and size < chunk[depth]:
-            depth -= 1
-            continue
-        take = min(size, chunk[depth])
-        queue[depth] = part(state, slice(take, None)) if take < size else None
-        children, dropped = (grow if depth + 1 < width else close)(*part(state, slice(take)))
-        if dropped:
-            yield dropped
+    while stack:
+        state, start = stack.pop()
+        rows, used, seen, odd, term = state
+        depth = rows.shape[1]
+        stop = start + chunk[depth]
+        if stop < used.size:
+            stack.append((state, stop))  # under its children: they go first
+        cut = slice(start, stop)
+        last = depth + 1 == width
+        step = close if last else grow
+        children, lost = step(rows[cut], used[cut], seen[:, cut], odd[cut], term[cut])
+        if lost:
+            yield lost
         if not children[1].size:
             continue
-        if depth + 1 == width:
+        if last:
             yield children
-            continue
-        queue[depth + 1] = join(queue[depth + 1], children)
-        depth += queue[depth + 1][1].size >= chunk[depth + 1]
+        else:
+            stack.append((children, 0))
 
 
 def _by_pairs(sums: list[int], used: np.ndarray, term: np.ndarray) -> list[int]:

@@ -392,39 +392,48 @@ class TestOrbitEnumeration:
                     assert got == _brute_force(n, (k, w - k))[0], (n, k, w - k)
 
     @staticmethod
-    def _record_chunks(monkeypatch) -> list[int]:
-        """Record the number of rows of each scored chunk the walks yield."""
-        rows = []
+    def _record_chunks(monkeypatch) -> tuple[list[int], list[tuple[int, int]]]:
+        """Record the chunks the walks yield.
+
+        The number of rows of each scored chunk, and the number of rows and
+        of ``used`` entries of each dropped one.
+        """
+        rows, dropped = [], []
         walk = oracle._representatives
 
         def record(n, lengths):
             for chunk in walk(n, lengths):
                 if chunk[2] is not None:
                     rows.append(chunk[1].size)
+                else:
+                    dropped.append((chunk[0].shape[0], chunk[1].size))
                 yield chunk
 
         monkeypatch.setattr(oracle, "_representatives", record)
-        return rows
+        return rows, dropped
 
     @pytest.mark.parametrize("call", [(2, (18,)), (8, (3, 3, 3, 3))])
     def test_blocks_stay_bounded(self, monkeypatch, call):
         # n = 2 drops nothing; (3,3,3,3) at n = 8 keeps 208,880 of its
         # 202,943,744 representatives (past the default budget); both
-        # score their rows in several chunks of at most _BLOCK
-        rows = self._record_chunks(monkeypatch)
+        # score their rows in several chunks of at most _BLOCK; a dropped
+        # chunk builds no rows and counts at most _BLOCK prefixes
+        rows, dropped = self._record_chunks(monkeypatch)
         _, evaluated, _ = oracle._enumerate(*call, 2**62)
         assert len(rows) > 1
         assert max(rows) <= oracle._BLOCK
         assert evaluated == sum(rows)
+        assert bool(dropped) == (call[0] > 2)
+        assert all(built == 0 and 0 < size <= oracle._BLOCK for built, size in dropped)
 
     def test_odd_width_evaluates_no_row(self, monkeypatch):
         # an odd total width leaves some class hit an odd number of times in
         # every chain: the root itself is dropped, covering all n**w tuples
-        rows = self._record_chunks(monkeypatch)
+        rows, _ = self._record_chunks(monkeypatch)
         got = cl.oracle_double_chain(3, 6, 5)
         assert got.value == 0.0 and got.representatives == 0 and rows == []
         walk = list(oracle._representatives(3, (6, 5)))
-        assert [(r.shape, u.tolist(), term) for r, u, term in walk] == [((1, 0), [0], None)]
+        assert [(r.shape, u.tolist(), term) for r, u, term in walk] == [((0, 0), [0], None)]
 
     def test_pruning_counts_rows_evaluated(self):
         # only the chains whose every class is hit an even number of times
@@ -451,32 +460,30 @@ class TestOrbitEnumeration:
 
     @pytest.mark.parametrize("n, lengths", [(5, (3, 3)), (6, (2, 1, 3)), (4, (4, 4)), (7, (1, 5))])
     def test_dropped_prefixes_cannot_close(self, n, lengths):
-        # recount each dropped prefix's determined cells from its digits:
-        # more classes hit an odd number of times than cells left open
-        # (or the wrong parity), so no completion has a nonzero term.  A
-        # dropped block of full width holds no rows, only the pairs used by
-        # the representatives that do not close and have no dropped proper
-        # prefix, recounted here from every canonical tuple
+        # recount, level by level from every canonical prefix, the prefixes
+        # the rule drops at their first failing depth: more classes hit an
+        # odd number of times than cells left open, or the wrong parity (at
+        # full width, any odd class), so no completion has a nonzero term.
+        # A dropped chunk holds no rows, only the pairs each prefix uses:
+        # the walk's dropped (depth, pairs used) are exactly the recount's
         width = sum(lengths)
-        shallow, unbuilt = set(), Counter()
+        expected, kept = Counter(), [()]
+        for depth in range(1, width + 1):
+            grown = [p + (i,) for p in kept for i in range(n) if _canonical(n, p + (i,))]
+            kept = []
+            for prefix in grown:
+                odd, left = _odd_classes(n, lengths, prefix)
+                if odd > left or (odd - left) % 2:
+                    expected[depth, _pairs(n, prefix)] += 1
+                else:
+                    kept.append(prefix)
+        dropped = Counter()
         for rows, used, term in oracle._representatives(n, lengths):
-            if term is not None:
-                continue
-            if rows.shape[1] == width:
-                assert rows.shape == (0, width)
-                unbuilt.update(used.tolist())
-            for row in rows.tolist():
-                odd, left = _odd_classes(n, lengths, row)
-                assert odd > left or (odd - left) % 2, (row, odd, left)
-                shallow.add(tuple(row))
-        expected = Counter(
-            _pairs(n, tup)
-            for tup in itertools.product(range(n), repeat=width)
-            if _canonical(n, tup)
-            and _odd_classes(n, lengths, tup)[0]
-            and not any(tup[:d] in shallow for d in range(width))
-        )
-        assert shallow and unbuilt and unbuilt == expected
+            if term is None:
+                assert len(rows) == 0
+                dropped.update((rows.shape[1], u) for u in used.tolist())
+        assert dropped == expected
+        assert {d == width for d, _ in expected} == {False, True}
 
     @pytest.mark.parametrize(
         "n, lengths",
@@ -527,6 +534,13 @@ class TestOrbitEnumeration:
         walk = oracle._chain(n, lengths, oracle.DEFAULT_TERM_BUDGET)
         assert (walk.pair_sums, walk.even_pair_sums) == (tuple(expected), tuple(free))
         assert walk.representatives == len(terms)
+
+    def test_walk_wider_than_the_recursion_limit(self):
+        # n = 1 has one prefix per depth, so the walk goes as deep as the
+        # width: a walk that recursed once per index would overflow the stack
+        assert sys.getrecursionlimit() < 2000
+        for got in (cl.oracle_single_chain(1, 2000), cl.oracle_double_chain(1, 1500, 1500)):
+            assert got.value == math.inf and got.representatives == 1
 
     @staticmethod
     def _record_full_rows(monkeypatch, width: int) -> list[int]:
