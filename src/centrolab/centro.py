@@ -123,9 +123,11 @@ def _draw(
 
     The draws are mean-0, variance-1 variates divided by ``sqrt(n)``, the
     one place either sampler scales.  Without ``states`` all of ``out``
-    continues ``rng``'s stream.  With ``states``, row i of ``out`` is
-    drawn right after ``rng``'s bit generator is set to ``states[i]``, so
-    every row is its own stream.  ``dist`` must be checked first;
+    continues ``rng``'s stream.  With ``states``, an iterable, row i of
+    ``out`` is drawn right after ``rng``'s bit generator is set to the
+    i-th state it yields, so every row is its own stream.  Each state is
+    set before the next is taken, so the iterable may refill one state
+    dict every time, as the trial loop does.  ``dist`` must be checked first;
     anything but "gaussian" draws uniform(-sqrt(3), sqrt(3)) as
     ``u * 2 sqrt(3) - sqrt(3)`` over all of ``out`` at once, bitwise what
     ``rng.uniform`` returns, since it computes ``low + (high - low) * u``
@@ -135,8 +137,9 @@ def _draw(
     if states is None:
         fill(out=out)
     else:
+        bit_generator = rng.bit_generator
         for row, state in zip(out, states):
-            rng.bit_generator.state = state
+            bit_generator.state = state
             fill(out=row)
     if dist != "gaussian":
         out *= 2.0 * _SQRT3
@@ -227,7 +230,10 @@ def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks | None = None) ->
     ``plus`` is ``sqrt(2) u`` (column h of the top rows), ``sqrt(2) p^T``
     (the middle row before the center) and ``q`` (the center).  The
     blocks are written into ``out`` when given (arrays of the blocks'
-    shapes), else into new arrays.
+    shapes, which must not overlap ``cells``), else into new arrays.
+    ``B J`` is copied into ``out.minus`` first, so that the sum and the
+    difference, formed from it in place, both run over contiguous rows
+    rather than over the column-reversed view of B.
     """
     h = n // 2
     lead = cells.shape[:-1]
@@ -235,9 +241,9 @@ def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks | None = None) ->
         out = WeaverBlocks(plus=np.empty(lead + (n - h, n - h)), minus=np.empty(lead + (h, h)))
     top = cells[..., : h * n].reshape(lead + (h, n))
     A = top[..., :h]
-    bj = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
-    np.add(A, bj, out=out.plus[..., :h, :h])
-    np.subtract(A, bj, out=out.minus)
+    out.minus[...] = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
+    np.add(A, out.minus, out=out.plus[..., :h, :h])
+    np.subtract(A, out.minus, out=out.minus)
     if n % 2 == 1:
         np.multiply(top[..., h], math.sqrt(2.0), out=out.plus[..., :h, h])
         np.multiply(cells[..., h * n : h * n + h], math.sqrt(2.0), out=out.plus[..., h, :h])

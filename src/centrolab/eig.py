@@ -29,16 +29,20 @@ dot of two contiguous flattened arrays; only a pair of the same layout
 (Tr A^6 = Tr A^3 A^3) is reduced over a transposed operand.  The dots
 are ``einsum`` reductions, not BLAS calls, since a BLAS dot splits its
 sum by the BLAS thread count.  ``_trace_core`` does the work in power
-buffers its caller may keep: the Monte Carlo engine applies it to the
+buffers its caller may keep, and sums the traces of several stacks into
+a result its caller may give: the Monte Carlo engine applies it to the
 two Weaver blocks P and Q of a centrosymmetric matrix,
 ``Tr M^k = Tr P^k + Tr Q^k``, which needs about an eighth of the flops
-of dense powers of M.  ``trace_power`` (repeated multiplication of the
-full matrix with one final trace) is the dense reference that tests and
-benchmark checks compare the core against.
+of dense powers of M.  How each trace is read off the stored powers
+depends on k_max alone and is worked out once per k_max.
+``trace_power`` (repeated multiplication of the full matrix with one
+final trace) is the dense reference that tests and benchmark checks
+compare the core against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -404,50 +408,78 @@ def trace_power(mat, k: int) -> float:
     return float(np.trace(p))
 
 
-def _trace_core(a: np.ndarray, k_max: int, pool=None) -> np.ndarray:
-    """Traces of A^1 .. A^k_max for a C-contiguous ``(..., m, m)`` stack ``a``.
+def _stored_transposed(i: int) -> bool:
+    """Whether ``_trace_core`` stores A^i transposed: odd i >= 3."""
+    return i % 2 == 1 and i > 1
 
-    The half powers A^2 .. A^h, ``h = ceil(k_max / 2)``, go into the
-    leading ``a.size`` entries of the flat buffers ``pool[0] .. pool[h-2]``
-    (new ones when ``pool`` is None).  Even powers are stored as they are,
-    odd ones transposed: the product writes through a transposed view of
-    the buffer, at the cost of a plain one.  Tr A^1 .. A^h are diagonal
-    sums.  Each higher Tr A^k is ``sum(A^i * (A^j)^T)`` for a split
-    ``i + j = k`` into stored powers; when their stored layouts differ,
-    that is a dot of the two flattened contiguous buffers.  Only where no
-    split has differing layouts, for every k above h when h <= 2 and for
-    even k above h + 1 otherwise (Tr A^6 at k_max = 6), does the
-    reduction read one operand transposed.
+
+@functools.cache
+def _trace_plan(k_max: int) -> tuple[tuple[int, int, bool], ...]:
+    """How ``_trace_core`` reads Tr A^1 .. A^k_max: one ``(i, j, dot)`` per k.
+
+    ``j == 0`` reads Tr A^i off the diagonal of the stored A^i (k <= h,
+    ``h = ceil(k_max / 2)``).  Otherwise ``i + j = k`` splits k into two
+    stored powers, the smallest ``i >= ceil(k/2)`` whose stored layout
+    differs from A^j's, and ``dot`` is True: Tr A^k is a dot of the two
+    flattened buffers.  Only where no split has differing layouts, for
+    every k above h when h <= 2 and for even k above h + 1 otherwise
+    (Tr A^6 at k_max = 6), is ``i = ceil(k/2)`` and ``dot`` False.
+    """
+    transposed = _stored_transposed
+    h = (k_max + 1) // 2
+    plan = [(k, 0, False) for k in range(1, h + 1)]
+    for k in range(h + 1, k_max + 1):
+        half = (k + 1) // 2
+        differ = [i for i in range(half, h + 1) if transposed(i) != transposed(k - i)]
+        i = differ[0] if differ else half
+        plan.append((i, k - i, bool(differ)))
+    return tuple(plan)
+
+
+def _trace_core(stacks, k_max: int, pool=None, out=None) -> np.ndarray:
+    """Traces of A^1 .. A^k_max summed over the sequence ``stacks`` of
+    C-contiguous ``(..., m, m)`` stacks, which share their leading axes.
+
+    For each stack in turn, the half powers A^2 .. A^h,
+    ``h = ceil(k_max / 2)``, go into the leading ``a.size`` entries of the
+    flat buffers ``pool[0] .. pool[h-2]`` (new ones sized for the first
+    stack when ``pool`` is None; a later stack must be no larger).  Even
+    powers are stored as they are, odd ones transposed: the product
+    writes through a transposed view of the buffer, at the cost of a
+    plain one.  ``_trace_plan(k_max)`` says how each trace is read off
+    them.  The first stack's traces are written into ``out`` (a new
+    ``(..., k_max)`` array when None) and each later stack's are added to
+    them, in the order of ``stacks``.
     """
 
-    def transposed(i: int) -> bool:
-        return i % 2 == 1 and i > 1
-
     def power(i: int) -> np.ndarray:
-        return stored[i].swapaxes(-1, -2) if transposed(i) else stored[i]
+        return stored[i].swapaxes(-1, -2) if _stored_transposed(i) else stored[i]
 
     h = (k_max + 1) // 2
+    if out is None:
+        out = np.empty(stacks[0].shape[:-2] + (k_max,))
     if pool is None:
-        pool = [np.empty(a.size) for _ in range(h - 1)]
-    stored = [None, a]  # stored[i] is A^i, or its transpose for odd i >= 3
-    for i in range(2, h + 1):
-        buf = pool[i - 2][: a.size].reshape(a.shape)
-        np.matmul(power(i - 1), a, out=buf.swapaxes(-1, -2) if transposed(i) else buf)
-        stored.append(buf)
+        pool = [np.empty(stacks[0].size) for _ in range(h - 1)]
+    for s, a in enumerate(stacks):
+        stored = [None, a]  # stored[i] is A^i, or its transpose for odd i >= 3
+        for i in range(2, h + 1):
+            buf = pool[i - 2][: a.size].reshape(a.shape)
+            np.matmul(power(i - 1), a, out=buf.swapaxes(-1, -2) if _stored_transposed(i) else buf)
+            stored.append(buf)
 
-    flat = a.shape[:-2] + (a.shape[-1] ** 2,)
-    out = np.empty(a.shape[:-2] + (k_max,))
-    for k in range(1, k_max + 1):
-        if k <= h:
-            out[..., k - 1] = np.trace(stored[k], axis1=-2, axis2=-1)
-            continue
-        half = (k + 1) // 2
-        i = next((i for i in range(half, h + 1) if transposed(i) != transposed(k - i)), half)
-        if transposed(i) != transposed(k - i):
-            x, y = stored[i].reshape(flat), stored[k - i].reshape(flat)
-            out[..., k - 1] = np.einsum("...i,...i->...", x, y)
-        else:
-            out[..., k - 1] = np.einsum("...ij,...ji->...", stored[i], stored[k - i])
+        flat = a.shape[:-2] + (a.shape[-1] ** 2,)
+        for k, (i, j, dot) in enumerate(_trace_plan(k_max), 1):
+            if j == 0:
+                value = np.trace(stored[i], axis1=-2, axis2=-1)
+            elif dot:
+                x, y = stored[i].reshape(flat), stored[j].reshape(flat)
+                value = np.einsum("...i,...i->...", x, y)
+            else:
+                value = np.einsum("...ij,...ji->...", stored[i], stored[j])
+            if s == 0:
+                out[..., k - 1] = value
+            else:
+                out[..., k - 1] += value
     return out
 
 
@@ -465,7 +497,7 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
-    return _trace_core(np.ascontiguousarray(a), k_max)
+    return _trace_core([np.ascontiguousarray(a)], k_max)
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:

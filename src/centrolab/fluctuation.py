@@ -19,14 +19,16 @@ are bitwise those of ``trace_powers`` on its blocks; the mirrored
 matrix M is never formed.  ``les_polynomial`` traces one given matrix
 through the same core, fed with M's row-major cells.
 
-Each worker thread keeps one workspace for the whole call: a generator,
-P and Q, and one scratch array that holds the stack's draws until P and
-Q are split from them, then P's half powers, then Q's in the leading
-entries of the same buffers.  A partial last stack uses the leading
-rows of all of them, and a stack allocates only arrays of one number
-per trial, such as its traces.  For k_max <= 6 the draws and the two
-half powers fill about the same n^2 / 2 doubles per trial, so a worker
-holds about n^2 doubles per trial of its stack.
+Each worker thread keeps one workspace for the whole call: a generator
+and one PCG64 state dict, P and Q, and one scratch array that holds the
+stack's draws until P and Q are split from them, then P's half powers,
+then Q's in the leading entries of the same buffers.  A partial last
+stack uses the leading rows of all of them.  Each stack writes Tr P^k,
+then adds Tr Q^k, straight into its own rows of the call's one
+``(trials, k_max)`` result, so a stack allocates only arrays of one
+number per trial.  For k_max <= 6 the draws and the two half powers
+fill about the same n^2 / 2 doubles per trial, so a worker holds about
+n^2 doubles per trial of its stack.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -41,13 +43,14 @@ at n = 1000 by up to 5.3e-15.
 Trial t draws exactly what
 ``sample_centro(n, dist, trial_seed(master_seed, t))`` draws, but the
 trial loop builds no PCG64 per trial: it hashes all of a call's trial
-seeds into their PCG64 states at once, replaying numpy's SeedSequence
-on arrays, and each stack sets one generator to each trial's state in
-turn.
+seeds into their seed words at once, replaying numpy's SeedSequence on
+arrays, and for each trial in turn refills the worker's one state dict
+from that trial's words and sets the worker's generator to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -167,22 +170,23 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words) -> dict:
+def _pcg64_state(words, into: dict | None = None) -> dict:
     """``np.random.PCG64(s).state`` from ``s``'s four seed words (Python ints).
 
     PCG64 seeds its 128-bit LCG with ``words[0:2]`` as the initial state
     and ``words[2:4]`` as the stream: ``inc = 2 stream + 1`` and
-    ``state = (inc + initial) * MULT + inc`` modulo 2**128.
+    ``state = (inc + initial) * MULT + inc`` modulo 2**128.  The state is
+    written into ``into`` when given, a PCG64 state dict with no buffered
+    32-bit word, which is returned; else into a new dict.
     """
     initial = (words[0] << 64) | words[1]
     inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
     state = ((initial + inc) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    if into is None:
+        into = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    into["state"]["state"] = state
+    into["state"]["inc"] = inc
+    return into
 
 
 def _ordered_map(work, count: int, threads: int | None) -> list:
@@ -222,8 +226,9 @@ def _stack_size(n: int) -> int:
 
 class _Workspace:
     """What one worker thread reuses for every stack of one call: a
-    generator, the two Weaver blocks and one scratch array that holds
-    the ``(rows, class_count(n))`` draws until the blocks are split from
+    generator and one PCG64 state dict that is refilled for each trial,
+    the two Weaver blocks and one scratch array that holds the
+    ``(rows, class_count(n))`` draws until the blocks are split from
     them, then ``ceil(k_max / 2) - 1`` flat half-power buffers sized for
     ``plus``, which ``minus`` reuses after ``plus`` is traced.
     """
@@ -234,6 +239,7 @@ class _Workspace:
         powers = (k_max + 1) // 2 - 1
         scratch = np.empty(max(rows * c, powers * size))
         self.rng = np.random.Generator(np.random.PCG64(0))
+        self.state = self.rng.bit_generator.state
         self.draws = scratch[: rows * c].reshape(rows, c)
         self.pool = [scratch[i * size : (i + 1) * size] for i in range(powers)]
         self.plus = np.empty((rows, n - h, n - h))
@@ -241,7 +247,11 @@ class _Workspace:
 
 
 def _draw_traces(
-    cells: np.ndarray, n: int, k_max: int, ws: _Workspace | None = None
+    cells: np.ndarray,
+    n: int,
+    k_max: int,
+    ws: _Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tr M^1 .. M^k_max of the matrices whose scaled row-major cells, at
     least the first ``class_count(n)``, are the rows of ``cells``, without
@@ -249,11 +259,12 @@ def _draw_traces(
 
     The Weaver blocks and their half powers go into the leading entries
     of ``ws``'s buffers, or into new arrays without ``ws``; ``cells`` are
-    read before any power is formed, so they may be ``ws.draws``.  Tr M^1
-    sums M's diagonal in M's own order: the diagonal cells among the
-    first ``class_count(n)`` (the top half, and the center for odd n),
-    then the same cells reversed without the center, so it equals
-    ``np.trace`` of M bitwise.
+    read before any power is formed, so they may be ``ws.draws``.  The
+    traces go into ``out``, shape ``(len(cells), k_max)``, or a new array:
+    Tr P^k, then Tr Q^k added to it.  Tr M^1 sums M's diagonal in M's own
+    order: the diagonal cells among the first ``class_count(n)`` (the top
+    half, and the center for odd n), then the same cells reversed
+    without the center, so it equals ``np.trace`` of M bitwise.
     """
     d = cells[:, : class_count(n) : n + 1]
     first = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
@@ -263,7 +274,7 @@ def _draw_traces(
         rows = len(cells)
         blocks = _weaver_split(cells, n, WeaverBlocks(ws.plus[:rows], ws.minus[:rows]))
         pool = ws.pool
-    traces = _trace_core(blocks.plus, k_max, pool) + _trace_core(blocks.minus, k_max, pool)
+    traces = _trace_core((blocks.plus, blocks.minus), k_max, pool, out)
     traces[:, 0] = first
     return traces
 
@@ -280,9 +291,11 @@ def _trial_traces(
     ``[0, 2**64)``, are checked before any seed is hashed or worker
     started.  The PCG64 states of all trials come from one vectorized
     seed hash.  Each worker thread builds one ``_Workspace`` on its first
-    stack and reuses it for the rest of the call: its generator is set to
-    each trial's state before drawing that trial's row.  A trace past the
-    double range is inf or nan, without a warning in any worker thread.
+    stack and reuses it for the rest of the call: its state dict is
+    refilled with each trial's state and its generator set to it before
+    drawing that trial's row.  Each stack writes its traces straight into
+    its own rows of the result.  A trace past the double range is inf or
+    nan, without a warning in any worker thread.
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
@@ -291,18 +304,21 @@ def _trial_traces(
         raise ConfigError(f"master seed must be in [0, 2**64), got {master_seed}")
     size = _stack_size(n)
     words = _seed_words(_trial_seeds(master_seed, trials))
+    traces = np.empty((trials, k_max))
     local = threading.local()
 
-    def work(s: int) -> np.ndarray:
+    def work(s: int) -> None:
         stack = words[s * size : (s + 1) * size].tolist()
         if not hasattr(local, "ws"):
             local.ws = _Workspace(n, min(size, trials), k_max)
-        draws = local.ws.draws[: len(stack)]
-        _draw(local.ws.rng, n, dist, draws, map(_pcg64_state, stack))
+        ws = local.ws
+        draws = ws.draws[: len(stack)]
+        _draw(ws.rng, n, dist, draws, map(_pcg64_state, stack, itertools.repeat(ws.state)))
         with np.errstate(over="ignore", invalid="ignore"):  # per thread
-            return _draw_traces(draws, n, k_max, local.ws)
+            _draw_traces(draws, n, k_max, ws, traces[s * size : s * size + len(stack)])
 
-    return np.concatenate(_ordered_map(work, (trials + size - 1) // size, threads))
+    _ordered_map(work, (trials + size - 1) // size, threads)
+    return traces
 
 
 def _les_values(traces: np.ndarray, f: Polynomial, n: int):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import centrolab as cl
 from centrolab import io
-from centrolab.centro import _class_id
+from centrolab.centro import WeaverBlocks, _class_id, _weaver_split
 
 from _helpers import multiset_gap
 
@@ -297,6 +297,11 @@ class TestWeaver:
             blocks = cl.weaver_blocks(a)
             assert np.array_equal(blocks.plus, plus)
             assert np.array_equal(blocks.minus, minus)
+            # the trial loop's path: every cell of preallocated blocks written
+            out = WeaverBlocks(np.full(plus.shape, np.nan), np.full(minus.shape, np.nan))
+            assert _weaver_split(a.reshape(a.shape[:-2] + (n * n,)), n, out) is out
+            assert np.array_equal(out.plus, plus)
+            assert np.array_equal(out.minus, minus)
 
     def test_split_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,12 @@ class TestSpectrum:
         residuals = payload["trace_residuals"]
         assert list(residuals) == ["1", "2", "3"]
         assert all(0.0 <= r < 1e-8 * 30 for r in residuals.values())
+        # bitwise the dense reference's residuals
+        m = cl.sample_centro(30, "gaussian", 4)
+        blocks = cl.weaver_blocks(m)
+        values = np.concatenate([s.values for s in cl.spectra([blocks.plus, blocks.minus])])
+        for k in (1, 2, 3):
+            assert residuals[str(k)] == abs(np.sum(values**k) - cl.trace_power(m, k))
 
     def test_rows_list_plus_block_then_minus_block(self, tmp_path):
         assert run(["spectrum", "--n", 9, "--seed", 2, "--out", tmp_path]) == 0

@@ -84,8 +84,10 @@ class TestWeaverFirstTraces:
         stack_size = fluctuation._stack_size
         monkeypatch.setattr(fluctuation, "_stack_size", lambda n: min(stack_size(n), 200))
         # k_max 2, 4, 5, 7: one, one, two and three half powers, so both
-        # parities of ceil(k_max/2) and both stored layouts of a power
-        k_maxes = (2, 4, 5, 7)
+        # parities of ceil(k_max/2) and both stored layouts of a power;
+        # k_max 1 has no half power, and k_max 6 reads Tr A^3 A^3 off a pair
+        # of the same layout
+        k_maxes = (1, 2, 4, 5, 6, 7)
         for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
             trials = fluctuation._stack_size(n) + 9
             for dist in cl.DISTRIBUTIONS:
