@@ -218,9 +218,10 @@ class WeaverBlocks:
     minus: np.ndarray
 
 
-def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks | None = None) -> WeaverBlocks:
-    """Weaver blocks of order-``n`` centrosymmetric matrices from their
-    row-major cells, shape ``(..., c)`` with ``c >= class_count(n)``.
+def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks) -> WeaverBlocks:
+    """Write into ``out``, and return it, the Weaver blocks of order-``n``
+    centrosymmetric matrices from their row-major cells, shape ``(..., c)``
+    with ``c >= class_count(n)``.
 
     Only the first ``class_count(n)`` cells are read: the top
     ``h = n // 2`` rows are the first ``h n`` cells, and for odd n the
@@ -228,17 +229,14 @@ def _weaver_split(cells: np.ndarray, n: int, out: WeaverBlocks | None = None) ->
     With A and B the left and right h columns of the top rows,
     ``plus = A + B J`` and ``minus = A - B J``; the odd-n border of
     ``plus`` is ``sqrt(2) u`` (column h of the top rows), ``sqrt(2) p^T``
-    (the middle row before the center) and ``q`` (the center).  The
-    blocks are written into ``out`` when given (arrays of the blocks'
-    shapes, which must not overlap ``cells``), else into new arrays.
+    (the middle row before the center) and ``q`` (the center).  ``out``
+    holds arrays of the blocks' shapes, which must not overlap ``cells``.
     ``B J`` is copied into ``out.minus`` first, so that the sum and the
     difference, formed from it in place, both run over contiguous rows
     rather than over the column-reversed view of B.
     """
     h = n // 2
     lead = cells.shape[:-1]
-    if out is None:
-        out = WeaverBlocks(plus=np.empty(lead + (n - h, n - h)), minus=np.empty(lead + (h, h)))
     top = cells[..., : h * n].reshape(lead + (h, n))
     A = top[..., :h]
     out.minus[...] = top[..., ::-1][..., :h]  # B @ J reverses the columns of B
@@ -263,12 +261,14 @@ def weaver_blocks(m: CentroMatrix | np.ndarray) -> WeaverBlocks:
     Odd n = 2m + 1, with center column top-half u, center row left-half
     p^T and center cell q:
     ``plus = [[A + B J, sqrt(2) u], [sqrt(2) p^T, q]]``, ``minus = A - B J``.
+    The two blocks are new arrays, filled by the trial loop's own split.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
-    n = a.shape[-1]
-    return _weaver_split(a.reshape(a.shape[:-2] + (n * n,)), n)
+    n, h, lead = a.shape[-1], a.shape[-1] // 2, a.shape[:-2]
+    out = WeaverBlocks(plus=np.empty(lead + (n - h, n - h)), minus=np.empty(lead + (h, h)))
+    return _weaver_split(a.reshape(lead + (n * n,)), n, out)
 
 
 def weaver_orthogonal(n: int) -> np.ndarray:

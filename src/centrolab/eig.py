@@ -29,11 +29,13 @@ dot of two contiguous flattened arrays; only a pair of the same layout
 (Tr A^6 = Tr A^3 A^3) is reduced over a transposed operand.  The dots
 are ``einsum`` reductions, not BLAS calls, since a BLAS dot splits its
 sum by the BLAS thread count.  ``_trace_core`` does the work in power
-buffers its caller may keep, and sums the traces of several stacks into
-a result its caller may give: the Monte Carlo engine applies it to the
-two Weaver blocks P and Q of a centrosymmetric matrix,
-``Tr M^k = Tr P^k + Tr Q^k``, which needs about an eighth of the flops
-of dense powers of M.  How each trace is read off the stored powers
+buffers its caller gives, and sums Tr A^2 .. A^k of several stacks into
+a result its caller gives; Tr A^1 is the caller's.  ``trace_powers``
+allocates both and writes ``np.trace`` of the matrix as Tr A^1.  The
+Monte Carlo engine applies the core to the two Weaver blocks P and Q of
+a centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``, which needs
+about an eighth of the flops of dense powers of M, and takes Tr M^1
+from M's own diagonal.  How each trace is read off the stored powers
 depends on k_max alone and is worked out once per k_max.
 ``trace_power`` (repeated multiplication of the full matrix with one
 final trace) is the dense reference that tests and benchmark checks
@@ -415,7 +417,8 @@ def _stored_transposed(i: int) -> bool:
 
 @functools.cache
 def _trace_plan(k_max: int) -> tuple[tuple[int, int, bool], ...]:
-    """How ``_trace_core`` reads Tr A^1 .. A^k_max: one ``(i, j, dot)`` per k.
+    """How ``_trace_core`` reads Tr A^2 .. A^k_max: one ``(i, j, dot)`` per
+    k = 2 .. k_max, empty for k_max = 1.
 
     ``j == 0`` reads Tr A^i off the diagonal of the stored A^i (k <= h,
     ``h = ceil(k_max / 2)``).  Otherwise ``i + j = k`` splits k into two
@@ -427,7 +430,7 @@ def _trace_plan(k_max: int) -> tuple[tuple[int, int, bool], ...]:
     """
     transposed = _stored_transposed
     h = (k_max + 1) // 2
-    plan = [(k, 0, False) for k in range(1, h + 1)]
+    plan = [(k, 0, False) for k in range(2, h + 1)]
     for k in range(h + 1, k_max + 1):
         half = (k + 1) // 2
         differ = [i for i in range(half, h + 1) if transposed(i) != transposed(k - i)]
@@ -436,30 +439,26 @@ def _trace_plan(k_max: int) -> tuple[tuple[int, int, bool], ...]:
     return tuple(plan)
 
 
-def _trace_core(stacks, k_max: int, pool=None, out=None) -> np.ndarray:
-    """Traces of A^1 .. A^k_max summed over the sequence ``stacks`` of
-    C-contiguous ``(..., m, m)`` stacks, which share their leading axes.
+def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
+    """Traces of A^2 .. A^k_max summed over the sequence ``stacks`` of
+    C-contiguous ``(..., m, m)`` stacks, which share their leading axes,
+    written into columns 1 .. k_max-1 of ``out``, shape ``(..., k_max)``,
+    which is returned.
 
-    For each stack in turn, the half powers A^2 .. A^h,
-    ``h = ceil(k_max / 2)``, go into the leading ``a.size`` entries of the
-    flat buffers ``pool[0] .. pool[h-2]`` (new ones sized for the first
-    stack when ``pool`` is None; a later stack must be no larger).  Even
+    Column 0, Tr A^1, is left to the caller.  For each stack in turn, the
+    half powers A^2 .. A^h, ``h = ceil(k_max / 2)``, go into the leading
+    ``a.size`` entries of the flat buffers ``pool[0] .. pool[h-2]``.  Even
     powers are stored as they are, odd ones transposed: the product
     writes through a transposed view of the buffer, at the cost of a
     plain one.  ``_trace_plan(k_max)`` says how each trace is read off
-    them.  The first stack's traces are written into ``out`` (a new
-    ``(..., k_max)`` array when None) and each later stack's are added to
-    them, in the order of ``stacks``.
+    them.  The first stack's traces are written into ``out`` and each
+    later stack's are added to them, in the order of ``stacks``.
     """
 
     def power(i: int) -> np.ndarray:
         return stored[i].swapaxes(-1, -2) if _stored_transposed(i) else stored[i]
 
     h = (k_max + 1) // 2
-    if out is None:
-        out = np.empty(stacks[0].shape[:-2] + (k_max,))
-    if pool is None:
-        pool = [np.empty(stacks[0].size) for _ in range(h - 1)]
     for s, a in enumerate(stacks):
         stored = [None, a]  # stored[i] is A^i, or its transpose for odd i >= 3
         for i in range(2, h + 1):
@@ -468,7 +467,7 @@ def _trace_core(stacks, k_max: int, pool=None, out=None) -> np.ndarray:
             stored.append(buf)
 
         flat = a.shape[:-2] + (a.shape[-1] ** 2,)
-        for k, (i, j, dot) in enumerate(_trace_plan(k_max), 1):
+        for k, (i, j, dot) in enumerate(_trace_plan(k_max), 2):
             if j == 0:
                 value = np.trace(stored[i], axis1=-2, axis2=-1)
             elif dot:
@@ -489,15 +488,21 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     Forms the half powers A^2 .. A^h with ``h = ceil(k_max / 2)``, that is
     ``h - 1`` products, and reads each trace above A^h off two of them,
     ``Tr A^k = sum(A^i * (A^j)^T)`` with ``i + j = k``.  Returns shape
-    ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  The work and the
-    storage layouts are ``_trace_core``'s.
+    ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  Allocates the
+    result and the power buffers, writes ``np.trace`` of the matrix as
+    Tr A^1, and leaves the rest, work and storage layouts, to
+    ``_trace_core``.
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")
     a = np.asarray(mat, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a (..., n, n) array, got shape {a.shape}")
-    return _trace_core([np.ascontiguousarray(a)], k_max)
+    a = np.ascontiguousarray(a)
+    out = np.empty(a.shape[:-2] + (k_max,))
+    out[..., 0] = np.trace(a, axis1=-2, axis2=-1)
+    pool = [np.empty(a.size) for _ in range((k_max + 1) // 2 - 1)]
+    return _trace_core([a], k_max, pool, out)
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:

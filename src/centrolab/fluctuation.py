@@ -15,20 +15,22 @@ class values of consecutive trials into one array per stack (the draws
 of about 1 MiB of matrix entries), builds P and Q straight from those
 rows with the same Weaver split ``weaver_blocks`` uses, and traces each
 stack at once through ``trace_powers``'s core, so every trial's traces
-are bitwise those of ``trace_powers`` on its blocks; the mirrored
-matrix M is never formed.  ``les_polynomial`` traces one given matrix
-through the same core, fed with M's row-major cells.
+above Tr M^1 are bitwise those of ``trace_powers`` on its blocks; the
+mirrored matrix M is never formed.  ``les_polynomial`` runs the trial
+loop's own stack step on one given matrix, fed with M's row-major
+cells, in a one-matrix workspace.
 
-Each worker thread keeps one workspace for the whole call: a generator
-and one PCG64 state dict, P and Q, and one scratch array that holds the
-stack's draws until P and Q are split from them, then P's half powers,
-then Q's in the leading entries of the same buffers.  A partial last
-stack uses the leading rows of all of them.  Each stack writes Tr P^k,
-then adds Tr Q^k, straight into its own rows of the call's one
-``(trials, k_max)`` result, so a stack allocates only arrays of one
-number per trial.  For k_max <= 6 the draws and the two half powers
-fill about the same n^2 / 2 doubles per trial, so a worker holds about
-n^2 doubles per trial of its stack.
+Each worker thread keeps a generator, one PCG64 state dict and one
+workspace for the whole call.  The workspace holds only buffers: P and
+Q, and one scratch array that holds the stack's draws until P and Q are
+split from them, then P's half powers, then Q's in the leading entries
+of the same buffers.  A partial last stack uses the leading rows of all
+of them.  Each stack writes Tr M^1, then Tr P^k and adds Tr Q^k for
+k >= 2, straight into its own rows of the call's one ``(trials, k_max)``
+result, so a stack allocates only arrays of one number per trial.  For
+k_max <= 6 the draws and the two half powers fill about the same
+n^2 / 2 doubles per trial, so a worker holds about n^2 doubles per
+trial of its stack.
 
 Every trial owns a derived seed
 (``splitmix64(splitmix64(master_seed) + trial)``), so different master
@@ -114,10 +116,12 @@ def trial_seed(master_seed: int, trial: int) -> int:
     on 64-bit words, so two masters share a seed only when their hashes
     lie closer together than the trial count.  A master seed outside
     ``0 <= master_seed < 2**64`` raises ValueError rather than aliasing
-    one inside.
+    one inside, and so does a trial index outside ``0 <= trial < 2**64``.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
+    if not 0 <= trial <= _MASK64:
+        raise ValueError(f"trial index must be in [0, 2**64), got {trial}")
     return _splitmix64((_splitmix64(master_seed) + trial) & _MASK64)
 
 
@@ -170,20 +174,18 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words, into: dict | None = None) -> dict:
-    """``np.random.PCG64(s).state`` from ``s``'s four seed words (Python ints).
+def _pcg64_state(words, into: dict) -> dict:
+    """Refill ``into``, a PCG64 state dict with no buffered 32-bit word,
+    with ``np.random.PCG64(s).state`` from ``s``'s four seed words (Python
+    ints), and return it.
 
     PCG64 seeds its 128-bit LCG with ``words[0:2]`` as the initial state
     and ``words[2:4]`` as the stream: ``inc = 2 stream + 1`` and
-    ``state = (inc + initial) * MULT + inc`` modulo 2**128.  The state is
-    written into ``into`` when given, a PCG64 state dict with no buffered
-    32-bit word, which is returned; else into a new dict.
+    ``state = (inc + initial) * MULT + inc`` modulo 2**128.
     """
     initial = (words[0] << 64) | words[1]
     inc = (((words[2] << 64) | words[3]) << 1 | 1) & _MASK128
     state = ((initial + inc) * _PCG64_MULT + inc) & _MASK128
-    if into is None:
-        into = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     into["state"]["state"] = state
     into["state"]["inc"] = inc
     return into
@@ -225,12 +227,12 @@ def _stack_size(n: int) -> int:
 
 
 class _Workspace:
-    """What one worker thread reuses for every stack of one call: a
-    generator and one PCG64 state dict that is refilled for each trial,
-    the two Weaver blocks and one scratch array that holds the
-    ``(rows, class_count(n))`` draws until the blocks are split from
-    them, then ``ceil(k_max / 2) - 1`` flat half-power buffers sized for
-    ``plus``, which ``minus`` reuses after ``plus`` is traced.
+    """The buffers of one stack step for up to ``rows`` matrices, which
+    a worker thread reuses for every stack of one call: the two Weaver
+    blocks and one scratch array that holds the ``(rows, class_count(n))``
+    draws until the blocks are split from them, then
+    ``ceil(k_max / 2) - 1`` flat half-power buffers sized for ``plus``,
+    which ``minus`` reuses after ``plus`` is traced.
     """
 
     def __init__(self, n: int, rows: int, k_max: int) -> None:
@@ -238,8 +240,6 @@ class _Workspace:
         size = rows * (n - h) ** 2
         powers = (k_max + 1) // 2 - 1
         scratch = np.empty(max(rows * c, powers * size))
-        self.rng = np.random.Generator(np.random.PCG64(0))
-        self.state = self.rng.bit_generator.state
         self.draws = scratch[: rows * c].reshape(rows, c)
         self.pool = [scratch[i * size : (i + 1) * size] for i in range(powers)]
         self.plus = np.empty((rows, n - h, n - h))
@@ -247,36 +247,27 @@ class _Workspace:
 
 
 def _draw_traces(
-    cells: np.ndarray,
-    n: int,
-    k_max: int,
-    ws: _Workspace | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Tr M^1 .. M^k_max of the matrices whose scaled row-major cells, at
-    least the first ``class_count(n)``, are the rows of ``cells``, without
-    forming the matrices.
+    cells: np.ndarray, n: int, k_max: int, ws: _Workspace, out: np.ndarray
+) -> None:
+    """Write into ``out``, shape ``(len(cells), k_max)``, Tr M^1 .. M^k_max
+    of the matrices whose scaled row-major cells, at least the first
+    ``class_count(n)``, are the rows of ``cells``, without forming the
+    matrices.
 
     The Weaver blocks and their half powers go into the leading entries
-    of ``ws``'s buffers, or into new arrays without ``ws``; ``cells`` are
-    read before any power is formed, so they may be ``ws.draws``.  The
-    traces go into ``out``, shape ``(len(cells), k_max)``, or a new array:
-    Tr P^k, then Tr Q^k added to it.  Tr M^1 sums M's diagonal in M's own
-    order: the diagonal cells among the first ``class_count(n)`` (the top
-    half, and the center for odd n), then the same cells reversed
-    without the center, so it equals ``np.trace`` of M bitwise.
+    of ``ws``'s buffers, which must have at least ``len(cells)`` rows;
+    ``cells`` are read before any power is formed, so they may be
+    ``ws.draws``.  Tr M^1 sums M's diagonal in M's own order: the
+    diagonal cells among the first ``class_count(n)`` (the top half, and
+    the center for odd n), then the same cells reversed without the
+    center, so it equals ``np.trace`` of M bitwise.  Each higher trace is
+    Tr P^k, then Tr Q^k added to it.
     """
+    rows = len(cells)
     d = cells[:, : class_count(n) : n + 1]
-    first = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
-    if ws is None:
-        blocks, pool = _weaver_split(cells, n), None
-    else:
-        rows = len(cells)
-        blocks = _weaver_split(cells, n, WeaverBlocks(ws.plus[:rows], ws.minus[:rows]))
-        pool = ws.pool
-    traces = _trace_core((blocks.plus, blocks.minus), k_max, pool, out)
-    traces[:, 0] = first
-    return traces
+    out[:, 0] = np.concatenate([d, d[:, ::-1][:, n % 2 :]], axis=1).sum(-1)
+    blocks = _weaver_split(cells, n, WeaverBlocks(ws.plus[:rows], ws.minus[:rows]))
+    _trace_core((blocks.plus, blocks.minus), k_max, ws.pool, out)
 
 
 def _trial_traces(
@@ -290,12 +281,13 @@ def _trial_traces(
     their Weaver blocks.  ``dist`` and the master seed, which must lie in
     ``[0, 2**64)``, are checked before any seed is hashed or worker
     started.  The PCG64 states of all trials come from one vectorized
-    seed hash.  Each worker thread builds one ``_Workspace`` on its first
-    stack and reuses it for the rest of the call: its state dict is
-    refilled with each trial's state and its generator set to it before
-    drawing that trial's row.  Each stack writes its traces straight into
-    its own rows of the result.  A trace past the double range is inf or
-    nan, without a warning in any worker thread.
+    seed hash.  Each worker thread builds a generator, one state dict and
+    one ``_Workspace`` on its first stack and reuses them for the rest of
+    the call: the state dict is refilled with each trial's state and the
+    generator set to it before drawing that trial's row.  Each stack
+    writes its traces straight into its own rows of the result.  A trace
+    past the double range is inf or nan, without a warning in any worker
+    thread.
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got {n}")
@@ -311,9 +303,12 @@ def _trial_traces(
         stack = words[s * size : (s + 1) * size].tolist()
         if not hasattr(local, "ws"):
             local.ws = _Workspace(n, min(size, trials), k_max)
+            local.rng = np.random.Generator(np.random.PCG64(0))
+            local.state = local.rng.bit_generator.state
         ws = local.ws
         draws = ws.draws[: len(stack)]
-        _draw(ws.rng, n, dist, draws, map(_pcg64_state, stack, itertools.repeat(ws.state)))
+        states = map(_pcg64_state, stack, itertools.repeat(local.state))
+        _draw(local.rng, n, dist, draws, states)
         with np.errstate(over="ignore", invalid="ignore"):  # per thread
             _draw_traces(draws, n, k_max, ws, traces[s * size : s * size + len(stack)])
 
@@ -332,13 +327,15 @@ def _les_values(traces: np.ndarray, f: Polynomial, n: int):
 def les_polynomial(m: CentroMatrix, f: Polynomial):
     """L_n(f) through the trace path: ``a_0 n + sum_k a_k Tr M^k``.
 
-    Traces M's row-major cells through the trial loop's core, which
-    reads the first ``class_count(n)`` of them: Weaver blocks and matrix
-    products only.  Returns a float for real coefficients, complex
-    otherwise.
+    Runs the trial loop's stack step on M's row-major cells in a
+    one-matrix workspace; the step reads the first ``class_count(n)`` of
+    them: Weaver blocks and matrix products only.  Returns a float for
+    real coefficients, complex otherwise.
     """
-    cells = m.entries.reshape(1, m.n * m.n)
-    return _les_values(_draw_traces(cells, m.n, f.degree)[0], f, m.n)
+    n, k_max = m.n, f.degree
+    traces = np.empty((1, k_max))
+    _draw_traces(m.entries.reshape(1, n * n), n, k_max, _Workspace(n, 1, k_max), traces)
+    return _les_values(traces[0], f, n)
 
 
 def les_analytic(spec: Spectrum, f) -> complex:
@@ -509,6 +506,9 @@ class MomentReport:
     entries: list[MomentEntry] = field(default_factory=list)
 
     def entry(self, k: int, l: int | None = None) -> MomentEntry:
+        """The entry for E[Tr M^k], or E[Tr M^k Tr M^l] with k and l in either order."""
+        if l is not None:
+            k, l = min(k, l), max(k, l)
         for e in self.entries:
             if e.k == k and e.l == l:
                 return e

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import centrolab as cl
-from centrolab.eig import _householder
+from centrolab.eig import _householder, _trace_core
 
 from _helpers import multiset_gap
 
@@ -433,6 +433,19 @@ class TestTracePowers:
             for s in range(2):
                 for t in range(3):
                     assert np.array_equal(traces[s, t], cl.trace_powers(stack[s, t], k_max))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_core_leaves_first_power_to_its_caller(self, shape, n):
+        # the trial loop writes M's own diagonal sum into column 0, so the
+        # core must leave that column alone
+        a = np.random.default_rng(60 + n).standard_normal(shape + (n, n)) / np.sqrt(n)
+        for k_max in range(1, 9):
+            out = np.full(shape + (k_max,), np.nan)
+            pool = [np.empty(a.size) for _ in range((k_max + 1) // 2 - 1)]
+            assert _trace_core([a], k_max, pool, out) is out
+            assert np.isnan(out[..., 0]).all()
+            assert np.array_equal(out[..., 1:], cl.trace_powers(a, k_max)[..., 1:])
 
     def test_non_contiguous_input_traces_as_its_copy(self):
         a = np.random.default_rng(5).standard_normal((7, 7))

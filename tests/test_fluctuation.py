@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -15,12 +16,14 @@ import centrolab as cl
 from centrolab import centro, fluctuation
 from centrolab.fluctuation import (
     _draw_traces,
+    _les_values,
     _ordered_map,
     _pcg64_state,
     _seed_words,
     _splitmix64,
     _trial_seeds,
     _trial_traces,
+    _Workspace,
 )
 
 SRC = Path(cl.__file__).resolve().parents[1]
@@ -111,9 +114,28 @@ class TestWeaverFirstTraces:
     def test_full_rows_trace_as_their_first_class_cells(self, n):
         # les_polynomial passes all n*n cells; the trial loop only the classes
         cells = cl.sample_centro_batch(n, 3, "gaussian", 70 + n).reshape(3, n * n)
-        full = _draw_traces(cells, n, 5)
-        assert np.array_equal(full, _draw_traces(cells[:, : cl.class_count(n)].copy(), n, 5))
+
+        def draw_traces(c):
+            out = np.empty((3, 5))
+            _draw_traces(c, n, 5, _Workspace(n, 3, 5), out)
+            return out
+
+        full = draw_traces(cells)
+        assert np.array_equal(full, draw_traces(cells[:, : cl.class_count(n)].copy()))
         assert np.array_equal(full[:, 0], np.trace(cells.reshape(3, n, n), axis1=1, axis2=2))
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_les_polynomial_is_the_trial_loop_on_one_matrix(self, n):
+        # bitwise only at the same k_max: the trace plan depends on it
+        fs = [cl.Polynomial([0, 0, 1, 0, 0, 4]), cl.Polynomial([0.5, 1j, 0, 2 - 1j])]
+        for dist, f in itertools.product(("gaussian", "uniform"), fs):
+            traces = _trial_traces(n, 5, f.degree, dist, 17, 1)
+            for t in (0, 2, 4):
+                m = cl.sample_centro(n, dist, cl.trial_seed(17, t))
+                single = cl.les_polynomial(m, f)
+                looped = _les_values(traces[t], f, n)
+                assert type(single) is type(looped), (n, dist, t)
+                assert np.array(single).tobytes() == looped.tobytes(), (n, dist, t)
 
     def test_trial_loop_never_forms_the_matrix(self, monkeypatch):
         def refuse(draws, n):
@@ -313,6 +335,12 @@ class TestTrialSeeds:
         with pytest.raises(cl.ConfigError, match="2\\*\\*64"):
             cl.moment_suite(8, 4, 2, master_seed=master)
 
+    @pytest.mark.parametrize("trial", [-1, 2**64, 2**64 + 5])
+    def test_trial_index_outside_64_bits_rejected(self, trial):
+        # -1 used to alias trial 2**64 - 1, and 2**64 trial 0
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            cl.trial_seed(5, trial)
+
     def test_adjacent_masters_draw_different_matrices(self):
         f = cl.Polynomial([0, 0, 1])
         r0 = cl.run_clt(20, 64, f, "gaussian", 0)
@@ -333,7 +361,7 @@ class TestPcg64States:
     def states(seeds):
         words = _seed_words(np.array(seeds, dtype=np.uint64))
         assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-        return [_pcg64_state(w) for w in words.tolist()]
+        return [_pcg64_state(w, np.random.PCG64(0).state) for w in words.tolist()]
 
     def test_edge_seeds(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -435,5 +463,10 @@ class TestMomentSuite:
         r = cl.moment_suite(20, 20, 2, "gaussian", 1)
         assert r.entry(2).target == 2.0
         assert r.entry(1, 2).l == 2
+        # pairs are stored with k <= l and found in either order
+        assert r.entry(2, 1) is r.entry(1, 2)
+        assert r.entry(2, 2) is not r.entry(2)
         with pytest.raises(KeyError):
             r.entry(9)
+        with pytest.raises(KeyError):
+            r.entry(3, 1)
