@@ -8,15 +8,21 @@ Householder reduction to Hessenberg form, then implicit double-shift
 lockstep, so the bulges of all of them go through the same numpy calls.
 Each bulge-chase step forms every matrix's symmetric 3x3 Householder
 reflector (the closing 2x2 one embedded as ``diag(R, 1)``, the identity
-where the matrix's window does not reach) from Python floats and
-applies them with one stacked in-place product per side, to the rows
-and then the columns they touch.  A step costs numpy call overhead far
-more than arithmetic, so solving two matrices together takes about as
-many calls as solving one.  ``eigenvalues`` is ``spectra`` on one
-matrix.  Both are general dense solvers: they do not look for
-centrosymmetry.  ``centrolab spectrum`` solves the two Weaver blocks
-together in one ``spectra`` call, while tests compare that against the
-full-matrix solve as an independent route.
+where the matrix's window does not reach) from Python floats and applies
+them with one stacked in-place product per side, to the rows and then
+the columns they touch.  A step is six numpy calls (a view, a stacked
+product and its assignment per side) plus, for each matrix whose window
+covers it, one ``_householder`` call and two ``struct`` calls that read
+its bulge column out of the stack's bytes and write its reflector into
+the stacked reflector's.  For the two order-100 Weaver blocks of
+``centrolab spectrum --n 200`` a step takes about 8.5 us on a quiet
+2-vCPU host, nearly all of it call overhead rather than arithmetic, so
+solving two matrices together takes about as many calls as solving one.
+``eigenvalues`` is ``spectra`` on one matrix.  Both are general dense
+solvers: they do not look for centrosymmetry.  ``centrolab spectrum``
+solves the two Weaver blocks together in one ``spectra`` call, while
+tests compare that against the full-matrix solve as an independent
+route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
@@ -46,7 +52,9 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -69,6 +77,9 @@ _EXCEPTIONAL_EVERY = 10  # stalled sweeps between ad-hoc shifts
 # and 2**459, LAPACK xGEEV's thresholds)
 _SAFE_MIN = math.sqrt(np.finfo(float).tiny) / _EPS
 _SAFE_MAX = 1.0 / _SAFE_MIN
+# range of ``balance``'s scale factor and scaled sums: 2**-969 and 2**969
+_BALANCE_MIN = 2.0 * np.finfo(float).tiny / _EPS
+_BALANCE_MAX = 1.0 / _BALANCE_MIN
 
 
 @dataclass(frozen=True)
@@ -101,36 +112,46 @@ def balance(mat) -> np.ndarray:
 
     Scaling by exact powers of the radix is lossless in floating point
     and never touches the diagonal, so trace and spectrum are preserved
-    bitwise.
+    bitwise.  The off-diagonal magnitude sums are read off one array of
+    magnitudes, scaled alongside the matrix.  An index whose row or
+    column sum overflows is left for a later pass, and the scale factor
+    and both scaled sums stay within [2**-969, 2**969] (LAPACK xGEBAL's
+    ``SFMIN2`` and ``SFMAX2``), so finite entries stay finite.  Raises
+    ``ValueError`` on non-finite entries.
     """
     a = np.array(_as_array(mat), dtype=float)
-    n = a.shape[0]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    # the diagonal is left out: subtracting |a_ii| from the sums would cancel tiny ones
+    mag = np.abs(a)
+    np.fill_diagonal(mag, 0.0)
+    add = np.add.reduce
     radix = 2.0
     done = False
-    while not done:
-        done = True
-        for i in range(n):
-            row = np.abs(a[i, :])
-            col = np.abs(a[:, i])
-            row[i] = col[i] = 0.0  # subtracting |a_ii| from the sums would cancel tiny ones
-            r = float(np.sum(row))
-            c = float(np.sum(col))
-            if r == 0.0 or c == 0.0:
-                continue
-            s = c + r
-            f = 1.0
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if c + r < 0.95 * s:
-                a[i, :] /= f
-                a[:, i] *= f
-                done = False
+    with np.errstate(over="ignore"):  # a sum that overflows only skips its index
+        while not done:
+            done = True
+            for i in range(a.shape[0]):
+                r = float(add(mag[i]))
+                c = float(add(mag[:, i]))
+                if not (0.0 < r < math.inf and 0.0 < c < math.inf):
+                    continue
+                s = c + r
+                f = 1.0
+                while c < r / radix and max(f, c) < _BALANCE_MAX and r / radix > _BALANCE_MIN:
+                    c *= radix
+                    r /= radix
+                    f *= radix
+                while c >= r * radix and r < _BALANCE_MAX and min(f, c / radix) > _BALANCE_MIN:
+                    c /= radix
+                    r *= radix
+                    f /= radix
+                if c + r < 0.95 * s:
+                    a[i] /= f
+                    a[:, i] *= f
+                    mag[i] /= f
+                    mag[:, i] *= f
+                    done = False
     return a
 
 
@@ -146,20 +167,23 @@ def hessenberg(mat) -> np.ndarray:
     what the unscaled reduction gives.
     """
     h = np.array(_as_array(mat), dtype=float)
-    n = h.shape[0]
-    for k in range(n - 2):
-        big = float(np.max(np.abs(h[k + 1 :, k])))
+    for k in range(h.shape[0] - 2):
+        col = h[k + 1 :, k]
+        big = float(np.abs(col).max())
         if big == 0.0:
             continue
         exp = math.frexp(big)[1]
-        v = np.ldexp(h[k + 1 :, k], -exp)
-        alpha = float(np.linalg.norm(v))
-        if v[0] > 0:
+        v = np.ldexp(col, -exp)
+        alpha = math.sqrt(v @ v)
+        head = v.item(0)
+        if head > 0:
             alpha = -alpha
-        v[0] -= alpha  # |v[0]| + |alpha| >= 1/2: v @ v is never 0
-        w = 2.0 / float(v @ v)
-        h[k + 1 :, k:] -= np.outer(w * v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= np.outer(h[:, k + 1 :] @ v, w * v)
+        v[0] = head - alpha  # |v[0]| + |alpha| >= 1/2: v @ v is never 0
+        wv = (2.0 / float(v @ v)) * v
+        below = h[k + 1 :, k:]
+        below -= wv[:, None] * (v @ below)
+        right = h[:, k + 1 :]
+        right -= (right @ v)[:, None] * wv
         h[k + 2 :, k] = 0.0
         h[k + 1, k] = math.ldexp(alpha, exp)
     return h
@@ -180,6 +204,8 @@ def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+# writes nine floats as native doubles, the layout of a float64 array, at a byte offset
+_pack_reflector = struct.Struct("9d").pack_into
 
 
 def _householder(x: float, y: float, z: float | None = None):
@@ -209,14 +235,15 @@ def _householder(x: float, y: float, z: float | None = None):
 
 def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
     """Fill values[lo..hi] from the current 1x1/2x2 diagonal blocks as-is."""
+    item = h.item
     i = hi
     while i >= lo:
-        if i == lo or h[i, i - 1] == 0.0:
-            values[i] = h[i, i]
+        if i == lo or item(i, i - 1) == 0.0:
+            values[i] = item(i, i)
             i -= 1
         else:
             values[i - 1], values[i] = _eig2x2(
-                h[i - 1, i - 1], h[i - 1, i], h[i, i - 1], h[i, i]
+                item(i - 1, i - 1), item(i - 1, i), item(i, i - 1), item(i, i)
             )
             i -= 2
 
@@ -230,39 +257,35 @@ def _reduce(mat) -> tuple[np.ndarray, int]:
     would turn them, so a solve alone and in a stack agree to the sign
     of every zero.
     """
-    a = _as_array(mat)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    b = balance(a)
+    b = balance(mat)
     b += 0.0
     amax = float(np.max(np.abs(b), initial=0.0))
     exp = math.frexp(amax)[1] if amax > _SAFE_MAX or 0.0 < amax < _SAFE_MIN else 0
     return hessenberg(np.ldexp(b, -exp) if exp else b), exp
 
 
-def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: bool) -> list:
+def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: bool) -> tuple[float, float, float]:
     """First column (x, y, z) of the double-shift polynomial on window [lo, hi].
 
     The shifts are the eigenvalues of the trailing 2x2 block, or with
     ``adhoc`` an exceptional pair built from the stalled subdiagonal
     magnitudes.
     """
+    item = h.item
     if adhoc:
-        mag = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+        mag = abs(item(hi, hi - 1)) + abs(item(hi - 1, hi - 2))
         shift_sum = 1.5 * mag
         shift_prod = -0.4375 * mag * mag
     else:
-        shift_sum = h[hi - 1, hi - 1] + h[hi, hi]
-        shift_prod = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-    x = (
-        h[lo, lo] * h[lo, lo]
-        + h[lo, lo + 1] * h[lo + 1, lo]
-        - shift_sum * h[lo, lo]
-        + shift_prod
-    )
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    return [x, y, z]
+        a, b, c, d = item(hi - 1, hi - 1), item(hi - 1, hi), item(hi, hi - 1), item(hi, hi)
+        shift_sum = a + d
+        shift_prod = a * d - b * c
+    h00, h01 = item(lo, lo), item(lo, lo + 1)
+    h10, h11, h21 = item(lo + 1, lo), item(lo + 1, lo + 1), item(lo + 2, lo + 1)
+    x = h00 * h00 + h01 * h10 - shift_sum * h00 + shift_prod
+    y = h10 * (h00 + h11 - shift_sum)
+    z = h10 * h21
+    return x, y, z
 
 
 def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
@@ -278,26 +301,35 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     shifts and sweep budget.  The bulges are chased together: at step k
     every matrix whose window covers k gets its 3x3 reflector (the
     closing 2x2 one embedded as ``diag(R, 1)``), every other matrix the
-    identity, and one stacked product per side applies them all.  The
-    rows and columns a stacked slice touches beyond a matrix's window
-    are never read again by eigenvalue-only QR, except column lo - 1,
-    whose three entries at and below the deflated h[lo, lo-1] are
-    zeroed so the reflector leaves them zero.
+    identity, and one stacked product per side applies them all.  A
+    matrix's reflector is packed into the stacked one's bytes only at the
+    steps its window covers and reset to the identity once when it
+    leaves; its bulge column is unpacked from the stack's bytes; the
+    slice bounds of every step are laid out once per round.  The rows
+    and columns a stacked slice touches beyond a matrix's window are
+    never read again by eigenvalue-only QR, except column lo - 1, whose
+    three entries at and below the deflated h[lo, lo-1] are zeroed so
+    the reflector leaves them zero.
 
-    A balanced matrix whose largest entry lies outside [2**-459, 2**459]
-    is scaled by an exact power of two before the Hessenberg reduction
-    and its eigenvalues are scaled back, so entries near the overflow or
-    underflow limit neither overflow nor stall the sweeps; any other
-    input is solved exactly as it is.  Scaling after balancing keeps the
-    small entries of graded matrices, which scaling the raw input by its
-    largest entry would flush to zero.  A subdiagonal entry h[i+1, i] is
-    treated as zero when ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``;
-    an ad-hoc exceptional shift is used every 10 stalled sweeps and
-    counted in ``exceptional_shifts``.  ``max_sweeps`` caps each
-    matrix's sweep count (default ``30 * n`` for a matrix of order n);
-    on exhaustion that matrix is flagged ``converged=False`` with
-    best-effort values.
+    ``balance`` skips an index whose row or column sum overflows and keeps
+    its scale factor within [2**-969, 2**969], so finite entries stay
+    finite through it.  A balanced matrix whose largest entry lies
+    outside [2**-459, 2**459] is scaled by an exact power of two before
+    the Hessenberg reduction and its eigenvalues are scaled back, so
+    entries near the overflow or underflow limit neither overflow nor
+    stall the sweeps; any other input is solved exactly as it is.
+    Scaling after balancing keeps the small entries of graded matrices,
+    which scaling the raw input by its largest entry would flush to
+    zero.  A subdiagonal entry h[i+1, i] is treated as zero when
+    ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
+    exceptional shift is used every 10 stalled sweeps and counted in
+    ``exceptional_shifts``.  ``max_sweeps`` caps each matrix's sweep
+    count (default ``30 * n`` for a matrix of order n; a negative cap
+    raises ``ValueError``); on exhaustion that matrix is flagged
+    ``converged=False`` with best-effort values.
     """
+    if max_sweeps is not None and max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     reduced = [_reduce(m) for m in mats]
     orders = [h.shape[0] for h, _ in reduced]
     size = max(orders, default=0) + 1
@@ -312,23 +344,23 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     exceptional = [0] * len(orders)
     converged = [True] * len(orders)
     slots = list(range(len(orders)))  # stack[j] holds matrix slots[j]
+    # h[i, c], h[i + 1, c], h[i + 2, c] of a stacked matrix, from the byte offset of h[i, c]
+    read_column = struct.Struct(f"d{8 * size - 8}xd{8 * size - 8}xd").unpack_from
 
     while slots:
-        # one vectorized deflation test per round; peeling leaves it valid
-        top = max(his[m] for m in slots) + 1
-        diag = np.abs(stack.diagonal(0, 1, 2)[:, :top])
+        # one vectorized deflation test per round; peeling leaves it valid.
+        # Byte (size - 1) * j + i is 1 where stack[j]'s h[i + 1, i] is negligible
+        diag = np.abs(stack.diagonal(0, 1, 2))
         negligible = (
-            np.abs(stack.diagonal(-1, 1, 2)[:, : top - 1])
-            <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
-        ).tolist()
+            np.abs(stack.diagonal(-1, 1, 2)) <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
+        ).tobytes()
         windows = []  # (slot, lo, hi) of each matrix that sweeps this round
         for j, m in enumerate(slots):
-            h, hi, split = stack[j], his[m], negligible[j]
+            h, hi, row = stack[j], his[m], (size - 1) * j
             while hi >= 0:
-                # the lowest row of the active block: the first negligible subdiagonal above hi
-                lo = hi
-                while lo > 0 and not split[lo - 1]:
-                    lo -= 1
+                # the lowest row of the active block: just below the first negligible
+                # subdiagonal above hi, or row 0
+                lo = max(negligible.rfind(1, row, row + hi) + 1 - row, 0)
                 if lo < hi - 1:
                     break
                 _peel_blocks(h, lo, hi, values[m])  # a deflated 1x1 or 2x2 block
@@ -351,33 +383,39 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
         if not windows:
             break
 
-        chases = []  # (lo, hi, first bulge column) of stack[j]
+        chases = []  # (lo, hi, first bulge column, byte offsets of R_j and stack[j])
         for j, lo, hi in windows:
             m = slots[j]
             sweeps[m] += 1
             stalls[m] += 1
             adhoc = stalls[m] % _EXCEPTIONAL_EVERY == 0
             exceptional[m] += adhoc
-            chases.append((lo, hi, _bulge(stack[j], lo, hi, adhoc)))
-        k0 = min(lo for lo, _, _ in chases)
-        k1 = max(hi for _, hi, _ in chases)
-        r = np.empty((len(chases), 3, 3))
-        r_entries = r.reshape(-1)
-        # chase every bulge down its window; step k is the identity outside [lo, hi)
-        for k in range(k0, k1):
-            entries = []
-            for j, (lo, hi, first) in enumerate(chases):
+            chases.append((lo, hi, _bulge(stack[j], lo, hi, adhoc), 72 * j, 8 * size * size * j))
+        k0 = min(lo for lo, _, _, _, _ in chases)
+        k1 = max(hi for _, hi, _, _, _ in chases)
+        r = np.empty((len(chases), 3, 3))  # R_j, the reflector of stack[j]
+        r[:] = np.eye(3)
+        # Python floats go into R and come out of the stack through their bytes: one
+        # struct call per matrix and step costs less than a numpy conversion for all
+        r_bytes = memoryview(r).cast("B")
+        stack_bytes = memoryview(stack).cast("B")
+        # chase every bulge down its window; step k is the identity outside [lo, hi).
+        # Step k's rows start at column max(k0, k - 1), its columns end at row min(k + 4, k1 + 1)
+        row_starts = chain((k0,), range(k0, k1))
+        col_ends = chain(range(k0 + 4, k1 + 2), repeat(k1 + 1))
+        for k, start, end in zip(range(k0, k1), row_starts, col_ends):
+            bulge = 8 * (size + 1) * k - 8  # byte offset of h[k, k - 1]: the bulge step k - 1 left
+            for lo, hi, first, at_r, at_h in chases:
                 if lo <= k < hi:
-                    x, y, z = first if k == lo else column[j]
-                    entries += _householder(x, y, z if k < hi - 1 else None) or _IDENTITY
-                else:
-                    entries += _IDENTITY
-            r_entries[:] = entries
-            rows = stack[:, k : k + 3, max(k0, k - 1) : k1 + 1]
+                    x, y, z = first if k == lo else read_column(stack_bytes, at_h + bulge)
+                    reflector = _householder(x, y, z if k < hi - 1 else None) or _IDENTITY
+                    _pack_reflector(r_bytes, at_r, *reflector)
+                elif k == hi:
+                    _pack_reflector(r_bytes, at_r, *_IDENTITY)
+            rows = stack[:, k : k + 3, start : k1 + 1]
             rows[...] = r @ rows
-            cols = stack[:, k0 : min(k + 4, k1 + 1), k : k + 3]
+            cols = stack[:, k0:end, k : k + 3]
             cols[...] = cols @ r
-            column = stack[:, k + 1 : k + 4, k].tolist()  # the bulge each step k + 1 reflects
 
     out = []
     for vals, (_, exp), n_sweeps, ok, n_exc in zip(values, reduced, sweeps, converged, exceptional):
@@ -510,7 +548,7 @@ def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("radius grid must be a nonempty 1-d sequence")
-    if np.any(g < 0) or np.any(np.diff(g) < 0):
-        raise ValueError("radius grid must be sorted ascending and nonnegative")
+    if not (np.all(g >= 0) and np.all(np.diff(g) >= 0)):  # NaN fails both
+        raise ValueError("radius grid must be sorted ascending, nonnegative and not NaN")
     radii = np.sort(np.abs(spec.values))
     return np.searchsorted(radii, g, side="right") / radii.size

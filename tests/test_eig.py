@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -45,6 +46,11 @@ class TestSolverContracts:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             cl.eigenvalues(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("solve", [cl.eigenvalues, lambda a, m: cl.spectra([a], m)])
+    def test_rejects_negative_sweep_budget(self, solve):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            solve(np.eye(3), -1)
 
     def test_exhausted_budget_flags_unconverged(self):
         a = cl.sample_centro(6, "gaussian", 12).entries
@@ -180,6 +186,41 @@ class TestHouseholder:
 
 def _solve_key(s):
     return s.values.tobytes(), s.iterations, s.exceptional_shifts, s.converged
+
+
+class TestQRPin:
+    """The QR core, frozen: a digest of each solve's values, sweeps,
+    exceptional shifts and flag.  Work on the solver's bookkeeping keeps
+    every bit of these ordinary inputs."""
+
+    @staticmethod
+    def _graded():
+        core = np.random.default_rng(6).standard_normal((12, 12))
+        d = 10.0 ** np.linspace(-120, 120, 12)
+        return d[:, None] * core / d[None, :]
+
+    @staticmethod
+    def _digest(s):
+        h = hashlib.sha256(s.values.tobytes())
+        h.update(repr((s.iterations, s.exceptional_shifts, s.converged)).encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "n, law, seed, digests",
+        [
+            (40, "gaussian", 7, ("4729914c8e3a4184", "fd84bc31ece6907b")),
+            (31, "uniform", 5, ("f4d073fcd10de8c4", "8ee19de11d4b4e68")),
+        ],
+    )
+    def test_weaver_blocks(self, n, law, seed, digests):
+        blocks = cl.weaver_blocks(cl.sample_centro(n, law, seed))
+        got = (cl.eigenvalues(blocks.plus), cl.eigenvalues(blocks.minus))
+        assert tuple(self._digest(s) for s in got) == digests
+
+    def test_graded_matrix(self):
+        s = cl.eigenvalues(self._graded())
+        assert (s.iterations, s.exceptional_shifts, s.converged) == (17, 0, True)
+        assert self._digest(s) == "bb57661b8c47c430"
 
 
 class TestSpectra:
@@ -318,6 +359,25 @@ class TestHessenbergAndBalance:
             ref[k + 2 :, k] = 0.0
             ref[k + 1, k] = alpha
         assert np.array_equal(cl.hessenberg(a), ref)
+
+    def test_balance_skips_an_overflowing_sum(self):
+        # row 0 sums to inf: balancing skips it rather than scale it without end
+        s = cl.eigenvalues([[0.0, 1e308, 1e308], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert s.converged
+        root = math.sqrt(2.0) * 1e154  # the roots of x^3 - 2e308 x
+        assert multiset_gap(s.values, [root, -root, 0.0]) <= 1e-14 * root
+
+    def test_balance_keeps_its_factor_finite(self):
+        # matching the sums would take a factor near 2**1030, past the largest double
+        s = cl.eigenvalues([[0.0, 1e300], [1e-320, 0.0]])
+        assert s.converged
+        root = math.sqrt(1e300 * 1e-320)
+        assert multiset_gap(s.values, [root, -root]) <= 1e-14 * root
+
+    def test_balance_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cl.balance([[1.0, bad], [0.0, 1.0]])
 
     def test_balance_preserves_diagonal_and_spectrum(self):
         a = np.random.default_rng(3).standard_normal((7, 7))
@@ -476,3 +536,8 @@ class TestRadialCdf:
             cl.spectral_radial_cdf(s, [1.0, 0.5])
         with pytest.raises(ValueError):
             cl.spectral_radial_cdf(s, [-1.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [[0.5, np.nan], [np.nan], [np.nan, 0.5]])
+    def test_rejects_nan_radius(self, grid):
+        with pytest.raises(ValueError, match="NaN"):
+            cl.spectral_radial_cdf(cl.eigenvalues(np.eye(2)), grid)
