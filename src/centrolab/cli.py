@@ -30,7 +30,7 @@ import numpy as np
 
 from . import io
 from .centro import DISTRIBUTIONS, assert_centrosymmetric, sample_centro, weaver_blocks
-from .eig import Spectrum, spectra, spectral_radial_cdf
+from .eig import Spectrum, spectra, spectral_radial_cdf, trace_power
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -164,21 +164,6 @@ def cmd_sample(cfg: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _trace_residuals(spec: Spectrum, m) -> dict[str, float]:
-    """``|sum(lambda^k) - Tr M^k|`` for k = 1, 2, 3, keyed by ``str(k)``.
-
-    The dense powers form one chain, ``M^k = M^(k-1) @ M``: the products
-    ``trace_power(m, k)`` makes for each k, made once.
-    """
-    a = np.asarray(m, dtype=float)
-    power, residuals = a, {}
-    for k in (1, 2, 3):
-        if k > 1:
-            power = power @ a
-        residuals[str(k)] = abs(np.sum(spec.values**k) - float(np.trace(power)))
-    return residuals
-
-
 def cmd_spectrum(cfg: SimpleNamespace) -> int:
     """Eigenvalues of one draw, solved as its two Weaver blocks, plus radial summary."""
     m = sample_centro(cfg.n, cfg.dist, cfg.seed)
@@ -195,6 +180,12 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         out / f"spectrum_n{cfg.n}_{cfg.dist}_seed{cfg.seed}.csv", spec
     )
     cdf = spectral_radial_cdf(spec, RADIAL_GRID)
+    # two-route check on the full matrix, independent of the split; an
+    # eigenvalue or a power past the double range leaves an inf or NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = {
+            str(k): abs(np.sum(spec.values**k) - trace_power(m, k)) for k in (1, 2, 3)
+        }
     payload = {
         "n": cfg.n,
         "dist": cfg.dist,
@@ -203,18 +194,18 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         "iterations": spec.iterations,
         "exceptional_shifts": spec.exceptional_shifts,
         "radial_cdf": {str(r): float(c) for r, c in zip(RADIAL_GRID, cdf)},
-        # two-route check on the full matrix, independent of the split
-        "trace_residuals": _trace_residuals(spec, m),
+        "trace_residuals": residuals,
     }
     json_path = io.write_json(
         out / f"radial_n{cfg.n}_{cfg.dist}_seed{cfg.seed}.json", payload
     )
     print(f"{csv_path} {json_path}")
     if not spec.converged:
-        raise SolverConvergenceError(
-            f"eigensolver did not converge after {spec.iterations} sweeps; "
-            f"partial output written to {csv_path}"
-        )
+        if np.isfinite(spec.values).all():
+            cause = f"eigensolver did not converge after {spec.iterations} sweeps"
+        else:
+            cause = "an eigenvalue overflows the double range"
+        raise SolverConvergenceError(f"{cause}; partial output written to {csv_path}")
     return EXIT_OK
 
 

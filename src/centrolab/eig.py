@@ -88,10 +88,12 @@ class Spectrum:
 
     ``values`` holds all n eigenvalues (complex entries in conjugate
     pairs); ``iterations`` counts QR sweeps, ``exceptional_shifts`` the
-    sweeps among them that took an ad-hoc shift; ``converged`` is False only
-    when some block failed to deflate within the sweep budget, in which
-    case ``values`` still has length n but carries best-effort entries
-    for the unconverged window.
+    sweeps among them that took an ad-hoc shift.  ``converged`` is False
+    in two cases only.  Either some block failed to deflate within the
+    sweep budget, in which case ``values`` still has length n but
+    carries best-effort entries for the unconverged window.  Or an
+    eigenvalue lies past the double range, so scaling it back overflowed
+    and ``values`` holds an infinite entry.
     """
 
     values: np.ndarray
@@ -295,13 +297,18 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     double-shift QR with deflation, and its ``Spectrum`` is bitwise the
     one it gets when solved alone (``eigenvalues``).  The Hessenberg
     forms are zero-padded into one stack of the largest order plus one
-    spare row and column.  Each round, every unfinished matrix deflates
-    what it can and then makes one double-shift sweep on its own active
-    window [lo, hi], with its own shifts, stall counter, exceptional
-    shifts and sweep budget.  The bulges are chased together: at step k
-    every matrix whose window covers k gets its 3x3 reflector (the
-    closing 2x2 one embedded as ``diag(R, 1)``), every other matrix the
-    identity, and one stacked product per side applies them all.  A
+    spare row and column, and each matrix keeps its slot for the whole
+    solve.  Each round, one pass over the stack lets every unfinished
+    matrix deflate what it can and then start one double-shift sweep on
+    its own active window [lo, hi], with its own shifts, stall counter,
+    exceptional shifts and sweep budget.  The bulges are chased
+    together: at step k every matrix whose window covers k gets its 3x3
+    reflector (the closing 2x2 one embedded as ``diag(R, 1)``), every
+    other matrix the identity, and one stacked product per side applies
+    them all.  A finished matrix stays in the stack under the identity;
+    its entries are never read again, and a stacked product's bits for
+    one matrix do not depend on the others.  The stacked reflector and
+    the byte views of it and of the stack are made once per call.  A
     matrix's reflector is packed into the stacked one's bytes only at the
     steps its window covers and reset to the identity once when it
     leaves; its bulge column is unpacked from the stack's bytes; the
@@ -317,10 +324,12 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     outside [2**-459, 2**459] is scaled by an exact power of two before
     the Hessenberg reduction and its eigenvalues are scaled back, so
     entries near the overflow or underflow limit neither overflow nor
-    stall the sweeps; any other input is solved exactly as it is.
-    Scaling after balancing keeps the small entries of graded matrices,
-    which scaling the raw input by its largest entry would flush to
-    zero.  A subdiagonal entry h[i+1, i] is treated as zero when
+    stall the sweeps; any other input is solved exactly as it is.  An
+    eigenvalue past the double range scales back to inf, without a
+    warning, and its matrix is flagged ``converged=False``.  Scaling
+    after balancing keeps the small entries of graded matrices, which
+    scaling the raw input by its largest entry would flush to zero.  A
+    subdiagonal entry h[i+1, i] is treated as zero when
     ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
     exceptional shift is used every 10 stalled sweeps and counted in
     ``exceptional_shifts``.  ``max_sweeps`` caps each matrix's sweep
@@ -331,8 +340,10 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     reduced = [_reduce(m) for m in mats]
+    if not reduced:
+        return []
     orders = [h.shape[0] for h, _ in reduced]
-    size = max(orders, default=0) + 1
+    size = max(orders) + 1
     stack = np.zeros((len(reduced), size, size))
     for padded, (h, _) in zip(stack, reduced):
         padded[: h.shape[0], : h.shape[0]] = h
@@ -343,62 +354,53 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     stalls = [0] * len(orders)
     exceptional = [0] * len(orders)
     converged = [True] * len(orders)
-    slots = list(range(len(orders)))  # stack[j] holds matrix slots[j]
+    r = np.empty((len(orders), 3, 3))  # R_j, the reflector of stack[j]
+    # Python floats go into R and come out of the stack through their bytes: one
+    # struct call per matrix and step costs less than a numpy conversion for all
+    r_bytes = memoryview(r).cast("B")
+    stack_bytes = memoryview(stack).cast("B")
     # h[i, c], h[i + 1, c], h[i + 2, c] of a stacked matrix, from the byte offset of h[i, c]
     read_column = struct.Struct(f"d{8 * size - 8}xd{8 * size - 8}xd").unpack_from
 
-    while slots:
+    while True:
         # one vectorized deflation test per round; peeling leaves it valid.
         # Byte (size - 1) * j + i is 1 where stack[j]'s h[i + 1, i] is negligible
         diag = np.abs(stack.diagonal(0, 1, 2))
         negligible = (
             np.abs(stack.diagonal(-1, 1, 2)) <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
         ).tobytes()
-        windows = []  # (slot, lo, hi) of each matrix that sweeps this round
-        for j, m in enumerate(slots):
-            h, hi, row = stack[j], his[m], (size - 1) * j
+        chases = []  # (lo, hi, first bulge column, byte offsets of R_j and stack[j])
+        for j, h in enumerate(stack):
+            hi, row = his[j], (size - 1) * j
             while hi >= 0:
                 # the lowest row of the active block: just below the first negligible
                 # subdiagonal above hi, or row 0
                 lo = max(negligible.rfind(1, row, row + hi) + 1 - row, 0)
                 if lo < hi - 1:
                     break
-                _peel_blocks(h, lo, hi, values[m])  # a deflated 1x1 or 2x2 block
+                _peel_blocks(h, lo, hi, values[j])  # a deflated 1x1 or 2x2 block
                 hi = lo - 1
-                stalls[m] = 0
+                stalls[j] = 0
             if hi >= 0:
                 if lo:  # column lo - 1 then stays zero under the stacked row products
                     h[lo : lo + 3, lo - 1] = 0.0
-                if sweeps[m] >= budgets[m]:
-                    converged[m] = False
-                    _peel_blocks(h, 0, hi, values[m])
+                if sweeps[j] >= budgets[j]:
+                    converged[j] = False
+                    _peel_blocks(h, 0, hi, values[j])
                     hi = -1
                 else:
-                    windows.append((j, lo, hi))
-            his[m] = hi
-        if len(windows) < len(slots):  # drop the finished matrices from the stack
-            stack = stack[[j for j, _, _ in windows]]
-            slots = [slots[j] for j, _, _ in windows]
-            windows = [(i, lo, hi) for i, (_, lo, hi) in enumerate(windows)]
-        if not windows:
+                    sweeps[j] += 1
+                    stalls[j] += 1
+                    adhoc = stalls[j] % _EXCEPTIONAL_EVERY == 0
+                    exceptional[j] += adhoc
+                    chases.append((lo, hi, _bulge(h, lo, hi, adhoc), 72 * j, 8 * size * size * j))
+            his[j] = hi
+        if not chases:
             break
 
-        chases = []  # (lo, hi, first bulge column, byte offsets of R_j and stack[j])
-        for j, lo, hi in windows:
-            m = slots[j]
-            sweeps[m] += 1
-            stalls[m] += 1
-            adhoc = stalls[m] % _EXCEPTIONAL_EVERY == 0
-            exceptional[m] += adhoc
-            chases.append((lo, hi, _bulge(stack[j], lo, hi, adhoc), 72 * j, 8 * size * size * j))
         k0 = min(lo for lo, _, _, _, _ in chases)
         k1 = max(hi for _, hi, _, _, _ in chases)
-        r = np.empty((len(chases), 3, 3))  # R_j, the reflector of stack[j]
         r[:] = np.eye(3)
-        # Python floats go into R and come out of the stack through their bytes: one
-        # struct call per matrix and step costs less than a numpy conversion for all
-        r_bytes = memoryview(r).cast("B")
-        stack_bytes = memoryview(stack).cast("B")
         # chase every bulge down its window; step k is the identity outside [lo, hi).
         # Step k's rows start at column max(k0, k - 1), its columns end at row min(k + 4, k1 + 1)
         row_starts = chain((k0,), range(k0, k1))
@@ -420,8 +422,10 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     out = []
     for vals, (_, exp), n_sweeps, ok, n_exc in zip(values, reduced, sweeps, converged, exceptional):
         if exp:
-            vals.real = np.ldexp(vals.real, exp)
-            vals.imag = np.ldexp(vals.imag, exp)
+            with np.errstate(over="ignore"):  # inf past the double range, flagged below
+                vals.real = np.ldexp(vals.real, exp)
+                vals.imag = np.ldexp(vals.imag, exp)
+        ok = ok and bool(np.isfinite(vals).all())
         out.append(
             Spectrum(values=vals, iterations=n_sweeps, converged=ok, exceptional_shifts=n_exc)
         )
@@ -529,7 +533,10 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  Allocates the
     result and the power buffers, writes ``np.trace`` of the matrix as
     Tr A^1, and leaves the rest, work and storage layouts, to
-    ``_trace_core``.
+    ``_trace_core``.  Results are bitwise the same for a fixed k_max, but
+    not across k_max: how Tr A^k is read depends on k_max, so
+    ``trace_powers(x, 3)[2]`` and ``trace_powers(x, 5)[2]`` differ by
+    1.8e-15 for one 5x5 Gaussian x (ROADMAP item 6 makes them agree).
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")
@@ -544,7 +551,12 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
 
 
 def spectral_radial_cdf(spec: Spectrum, grid) -> np.ndarray:
-    """Fraction of eigenvalues with ``|lambda| <= r`` for each grid radius."""
+    """Fraction of eigenvalues with ``|lambda| <= r`` for each grid radius.
+
+    Raises ``ValueError`` on an empty spectrum, where no fraction is defined.
+    """
+    if spec.values.size == 0:
+        raise ValueError("spectrum is empty: no eigenvalue to count")
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("radius grid must be a nonempty 1-d sequence")

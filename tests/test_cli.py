@@ -117,6 +117,17 @@ class TestSpectrum:
         assert payload["converged"] is False
         assert read_spectrum(tmp_path / "spectrum_n12_gaussian_seed3.csv").size == 12
 
+    def test_overflowed_eigenvalue_exits_3_with_full_output(self, tmp_path, monkeypatch, capsys):
+        # a finite draw whose plus block has the eigenvalue 2e308
+        monkeypatch.setattr(cli, "sample_centro", lambda n, dist, seed: np.full((n, n), 5e307))
+        assert main(["spectrum", "--n", "4", "--out", str(tmp_path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "overflow" in err
+        payload = json.loads((tmp_path / "radial_n4_gaussian_seed1.json").read_text())
+        assert payload["converged"] is False
+        values = read_spectrum(tmp_path / "spectrum_n4_gaussian_seed1.csv")
+        assert values.tolist() == [math.inf, 0.0, 0.0, 0.0]
+
 
 class TestClt:
     def test_report_keys_and_theoretical_variance(self, tmp_path):

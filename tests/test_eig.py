@@ -145,6 +145,12 @@ class TestExtremeMagnitudes:
         assert np.array_equal(scaled.values, np.ldexp(base.values.real, power)
                               + 1j * np.ldexp(base.values.imag, power))
 
+    def test_eigenvalue_past_double_range_is_flagged(self):
+        # eigenvalues 2e308 and 0: the first scales back to inf, with no warning
+        s = cl.eigenvalues([[1e308, 1e308], [1e308, 1e308]])
+        assert not s.converged
+        assert s.values.tolist() == [math.inf, 0.0]
+
 
 class TestHouseholder:
     @pytest.mark.parametrize(
@@ -221,6 +227,26 @@ class TestQRPin:
         s = cl.eigenvalues(self._graded())
         assert (s.iterations, s.exceptional_shifts, s.converged) == (17, 0, True)
         assert self._digest(s) == "bb57661b8c47c430"
+
+    def test_stacked_solve(self):
+        # mixed orders that finish after 5, 15 and 22 sweeps (the cyclic shift
+        # after one exceptional shift), and an order-16 matrix stopped at the cap
+        rng = np.random.default_rng(27)
+        mats = [rng.standard_normal((n, n)) for n in (3, 16, 9)]
+        mats.append(np.roll(np.eye(7), 1, 0))
+        got = cl.spectra(mats, max_sweeps=30)
+        assert [(s.iterations, s.exceptional_shifts, s.converged) for s in got] == [
+            (5, 0, True),
+            (30, 0, False),
+            (15, 0, True),
+            (22, 1, True),
+        ]
+        assert [self._digest(s) for s in got] == [
+            "e900cc27d20cb7e8",
+            "2721b08c4a3914e6",
+            "9e678f3910eba2a1",
+            "4f12caad635aecc8",
+        ]
 
 
 class TestSpectra:
@@ -536,6 +562,10 @@ class TestRadialCdf:
             cl.spectral_radial_cdf(s, [1.0, 0.5])
         with pytest.raises(ValueError):
             cl.spectral_radial_cdf(s, [-1.0, 0.5])
+
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(ValueError, match="empty"):
+            cl.spectral_radial_cdf(cl.eigenvalues(np.zeros((0, 0))), [0.5])
 
     @pytest.mark.parametrize("grid", [[0.5, np.nan], [np.nan], [np.nan, 0.5]])
     def test_rejects_nan_radius(self, grid):
