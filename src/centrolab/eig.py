@@ -28,11 +28,12 @@ Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
 ``(..., n, n)`` stack it forms only the half powers A^2 .. A^h,
 h = ceil(k/2), reads Tr A^1 .. A^h off their diagonals and
-``Tr A^k = sum(A^i * (A^j)^T)`` (i + j = k) off two of them.  Odd powers
-above A^1 are stored transposed, written through a transposed view of
-their buffer, so two stored powers of opposite layouts give Tr A^k as a
-dot of two contiguous flattened arrays; only a pair of the same layout
-(Tr A^6 = Tr A^3 A^3) is reduced over a transposed operand.  The dots
+``Tr A^k = sum(A^h * (A^(k-h))^T)`` off the top power and A^(k-h).
+When h >= 3 the top power A^h is stored transposed, written through a
+transposed view of its buffer at 3-9% more than a plain write, so each
+Tr A^k with h < k < 2h is a dot of two contiguous flattened arrays;
+Tr A^2h, and every trace above h when h <= 2, is reduced over a
+transposed operand.  No product reads the transposed power.  The dots
 are ``einsum`` reductions, not BLAS calls, since a BLAS dot splits its
 sum by the BLAS thread count.  ``_trace_core`` does the work in power
 buffers its caller gives, and sums Tr A^2 .. A^k of several stacks into
@@ -42,7 +43,7 @@ Monte Carlo engine applies the core to the two Weaver blocks P and Q of
 a centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``, which needs
 about an eighth of the flops of dense powers of M, and takes Tr M^1
 from M's own diagonal.  How each trace is read off the stored powers
-depends on k_max alone and is worked out once per k_max.
+depends on h alone, so k_max = 2h - 1 and 2h give the same bits.
 ``trace_power`` (repeated multiplication of the full matrix with one
 final trace) is the dense reference that tests and benchmark checks
 compare the core against.
@@ -50,7 +51,6 @@ compare the core against.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -452,35 +452,6 @@ def trace_power(mat, k: int) -> float:
     return float(np.trace(p))
 
 
-def _stored_transposed(i: int) -> bool:
-    """Whether ``_trace_core`` stores A^i transposed: odd i >= 3."""
-    return i % 2 == 1 and i > 1
-
-
-@functools.cache
-def _trace_plan(k_max: int) -> tuple[tuple[int, int, bool], ...]:
-    """How ``_trace_core`` reads Tr A^2 .. A^k_max: one ``(i, j, dot)`` per
-    k = 2 .. k_max, empty for k_max = 1.
-
-    ``j == 0`` reads Tr A^i off the diagonal of the stored A^i (k <= h,
-    ``h = ceil(k_max / 2)``).  Otherwise ``i + j = k`` splits k into two
-    stored powers, the smallest ``i >= ceil(k/2)`` whose stored layout
-    differs from A^j's, and ``dot`` is True: Tr A^k is a dot of the two
-    flattened buffers.  Only where no split has differing layouts, for
-    every k above h when h <= 2 and for even k above h + 1 otherwise
-    (Tr A^6 at k_max = 6), is ``i = ceil(k/2)`` and ``dot`` False.
-    """
-    transposed = _stored_transposed
-    h = (k_max + 1) // 2
-    plan = [(k, 0, False) for k in range(2, h + 1)]
-    for k in range(h + 1, k_max + 1):
-        half = (k + 1) // 2
-        differ = [i for i in range(half, h + 1) if transposed(i) != transposed(k - i)]
-        i = differ[0] if differ else half
-        plan.append((i, k - i, bool(differ)))
-    return tuple(plan)
-
-
 def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
     """Traces of A^2 .. A^k_max summed over the sequence ``stacks`` of
     C-contiguous ``(..., m, m)`` stacks, which share their leading axes,
@@ -488,35 +459,41 @@ def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
     which is returned.
 
     Column 0, Tr A^1, is left to the caller.  For each stack in turn, the
-    half powers A^2 .. A^h, ``h = ceil(k_max / 2)``, go into the leading
-    ``a.size`` entries of the flat buffers ``pool[0] .. pool[h-2]``.  Even
-    powers are stored as they are, odd ones transposed: the product
-    writes through a transposed view of the buffer, at the cost of a
-    plain one.  ``_trace_plan(k_max)`` says how each trace is read off
-    them.  The first stack's traces are written into ``out`` and each
-    later stack's are added to them, in the order of ``stacks``.
+    half powers A^i = A^(i-1) A, i = 2 .. h with ``h = ceil(k_max / 2)``,
+    go into the leading ``a.size`` entries of the flat buffers
+    ``pool[0] .. pool[h-2]``, each formed from plain operands.  Only the
+    top power A^h is stored transposed, and only when h >= 3: its product
+    writes through a transposed view of the buffer, and no product reads
+    it.  Tr A^k is the diagonal sum of A^k for k <= h, and
+    Tr(A^h A^(k-h)) above h: a dot of the two flattened buffers when A^h
+    is stored transposed and k < 2h, else a reduction over a transposed
+    operand.  At h = 2, A^2 stays plain, so Tr A^3 and Tr A^4 stay
+    reductions, whose bits the trace pins in the tests hold.  With one
+    BLAS thread on a 2-vCPU host the transposed write costs 3-9% more
+    than a plain one (41.5 against 40 us for a (33, 32, 32) stack, 5.0
+    against 4.65 ms at order 500), while a flat dot takes about 55% of
+    the time of a transposed reduction (15 against 26.5 us, 165 against
+    290 us).  The first stack's traces are written into ``out`` and each later
+    stack's are added to them, in the order of ``stacks``.
     """
-
-    def power(i: int) -> np.ndarray:
-        return stored[i].swapaxes(-1, -2) if _stored_transposed(i) else stored[i]
-
     h = (k_max + 1) // 2
+    transposed = h >= 3
     for s, a in enumerate(stacks):
-        stored = [None, a]  # stored[i] is A^i, or its transpose for odd i >= 3
+        powers = [None, a]  # powers[i] is A^i, or its transpose for the top one
         for i in range(2, h + 1):
             buf = pool[i - 2][: a.size].reshape(a.shape)
-            np.matmul(power(i - 1), a, out=buf.swapaxes(-1, -2) if _stored_transposed(i) else buf)
-            stored.append(buf)
+            np.matmul(powers[i - 1], a, out=buf.swapaxes(-1, -2) if transposed and i == h else buf)
+            powers.append(buf)
 
+        top = powers[h]
         flat = a.shape[:-2] + (a.shape[-1] ** 2,)
-        for k, (i, j, dot) in enumerate(_trace_plan(k_max), 2):
-            if j == 0:
-                value = np.trace(stored[i], axis1=-2, axis2=-1)
-            elif dot:
-                x, y = stored[i].reshape(flat), stored[j].reshape(flat)
-                value = np.einsum("...i,...i->...", x, y)
+        for k in range(2, k_max + 1):
+            if k <= h:
+                value = np.trace(powers[k], axis1=-2, axis2=-1)
+            elif transposed and k < 2 * h:
+                value = np.einsum("...i,...i->...", top.reshape(flat), powers[k - h].reshape(flat))
             else:
-                value = np.einsum("...ij,...ji->...", stored[i], stored[j])
+                value = np.einsum("...ij,...ji->...", top, powers[k - h])
             if s == 0:
                 out[..., k - 1] = value
             else:
@@ -528,15 +505,17 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     """Traces of A^1 .. A^k_max for a real matrix or a ``(..., n, n)`` stack.
 
     Forms the half powers A^2 .. A^h with ``h = ceil(k_max / 2)``, that is
-    ``h - 1`` products, and reads each trace above A^h off two of them,
-    ``Tr A^k = sum(A^i * (A^j)^T)`` with ``i + j = k``.  Returns shape
+    ``h - 1`` products, and reads each trace above A^h off the top power
+    and A^(k-h), ``Tr A^k = sum(A^h * (A^(k-h))^T)``.  Returns shape
     ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  Allocates the
     result and the power buffers, writes ``np.trace`` of the matrix as
-    Tr A^1, and leaves the rest, work and storage layouts, to
-    ``_trace_core``.  Results are bitwise the same for a fixed k_max, but
-    not across k_max: how Tr A^k is read depends on k_max, so
-    ``trace_powers(x, 3)[2]`` and ``trace_powers(x, 5)[2]`` differ by
-    1.8e-15 for one 5x5 Gaussian x (ROADMAP item 6 makes them agree).
+    Tr A^1, and leaves the rest, work and storage layout, to
+    ``_trace_core``.  The bits depend on h, not on k_max itself: k_max
+    2h - 1 and 2h give bitwise equal traces, but different h need not,
+    since Tr A^k is read differently.  ``trace_powers(x, 3)[2]`` (a
+    reduction of A^2 and A^1) and ``trace_powers(x, 5)[2]`` (A^3's
+    diagonal) differ by 1.8e-15 for one 5x5 Gaussian x (ROADMAP item 6
+    makes them agree).
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")

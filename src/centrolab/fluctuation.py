@@ -38,12 +38,13 @@ seeds draw different matrices and the sample multiset is independent of
 the execution schedule and the worker count.  Stack boundaries depend
 only on the order and the trial count, and reductions run in
 trial-index order, so reports are bit-identical for a fixed master seed
-and any worker count at a fixed BLAS thread count and a fixed k_max.
-The BLAS thread count itself moves the bits: OpenBLAS's threaded
-``dgemm`` moves traces at n = 1000 by up to 5.3e-15.  So does k_max:
-``trace_powers`` reads Tr M^k off the stored powers in a way that
-depends on k_max, so ``moment_suite`` at k_max 3 and 6 can give Tr M^3
-with different last bits (ROADMAP item 6).
+and any worker count at a fixed BLAS thread count and a fixed
+h = ceil(k_max / 2).  The BLAS thread count itself moves the bits:
+OpenBLAS's threaded ``dgemm`` moves traces at n = 1000 by up to
+5.3e-15.  So can h: ``trace_powers`` reads Tr M^k off the stored powers
+in a way that depends on h alone, so k_max 5 and 6 give the same bits,
+but ``moment_suite`` at k_max 3 and 6 can give Tr M^3 with different
+last bits (ROADMAP item 6).
 
 Trial t draws exactly what
 ``sample_centro(n, dist, trial_seed(master_seed, t))`` draws, but the

@@ -98,6 +98,22 @@ def write_histogram_csv(path, samples) -> Path:
     return _write_lines(path, lines)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in its dicts, lists and
+    tuples replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path, payload: dict) -> Path:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    """Deterministic strict JSON: sorted keys, two-space indent, trailing
+    newline.  A non-finite float is written as ``null``; one the
+    conversion misses raises ``ValueError`` rather than being written as
+    the bare ``NaN`` or ``Infinity`` that strict parsers reject."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    return _write_lines(path, [text])

@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import json
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -13,3 +15,13 @@ def multiset_gap(a, b) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def loads_strict(text: str):
+    """``json.loads`` that fails on the tokens ``NaN``, ``Infinity`` and
+    ``-Infinity``, which strict JSON does not have."""
+
+    def refuse(token):
+        raise AssertionError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)

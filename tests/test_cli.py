@@ -13,7 +13,7 @@ import centrolab as cl
 from centrolab import cli, fluctuation, io
 from centrolab.cli import EXIT_SOLVER, _COMMANDS, SETTINGS, _configure, main, parse_config_file
 
-from _helpers import multiset_gap
+from _helpers import loads_strict, multiset_gap
 
 
 def run(args) -> int:
@@ -123,8 +123,9 @@ class TestSpectrum:
         assert main(["spectrum", "--n", "4", "--out", str(tmp_path)]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and "overflow" in err
-        payload = json.loads((tmp_path / "radial_n4_gaussian_seed1.json").read_text())
+        payload = loads_strict((tmp_path / "radial_n4_gaussian_seed1.json").read_text())
         assert payload["converged"] is False
+        assert None in payload["trace_residuals"].values()
         values = read_spectrum(tmp_path / "spectrum_n4_gaussian_seed1.csv")
         assert values.tolist() == [math.inf, 0.0, 0.0, 0.0]
 

@@ -249,6 +249,34 @@ class TestQRPin:
         ]
 
 
+class TestTracePin:
+    """The trace core, frozen: a digest of ``trace_powers`` at every k_max
+    from 1 to 6 on fixed single matrices and batches.  Work on how the
+    core stores and reads its powers keeps every bit of these traces."""
+
+    @pytest.mark.parametrize(
+        "n, digests",
+        [
+            (0, ("e3c2af35d1dfc500", "696bda342649ec92")),
+            (1, ("d87ff2ede2a47d12", "1327797321d48a2b")),
+            (5, ("4ca9b3776fa8b66b", "78fac4495fcab5d7")),
+            (32, ("9a613f769ebcf238", "d1ea586aaf94793b")),
+            (61, ("4044da97e9c2896f", "598d846bacf4cc99")),
+        ],
+    )
+    def test_trace_powers(self, n, digests):
+        rng = np.random.default_rng(280 + n)
+        single = rng.standard_normal((n, n)) / np.sqrt(max(n, 1))
+        batch = rng.standard_normal((3, n, n)) / np.sqrt(max(n, 1))
+        got = []
+        for a in (single, batch):
+            h = hashlib.sha256()
+            for k_max in range(1, 7):
+                h.update(cl.trace_powers(a, k_max).tobytes())
+            got.append(h.hexdigest()[:16])
+        assert tuple(got) == digests
+
+
 class TestSpectra:
     """``spectra`` solves a stack in lockstep, bitwise as each matrix alone."""
 
@@ -499,16 +527,26 @@ class TestTracePowers:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
     def test_every_layout_case_matches_dense_reference(self, n):
-        # k_max 1-8 takes h = ceil(k_max/2) of both parities, so traces above
-        # h pair powers of opposite stored layouts and of the same one
+        # k_max 1-10 takes h = ceil(k_max/2) from 1 to 5: traces above h are
+        # reductions of two plain powers (h <= 2), dots with the transposed
+        # top power and its reduction with itself (h >= 3)
         a = np.random.default_rng(40 + n).standard_normal((n, n)) / np.sqrt(max(n, 1))
-        dense = [cl.trace_power(a, k) for k in range(1, 9)]
-        for k_max in range(1, 9):
+        dense = [cl.trace_power(a, k) for k in range(1, 11)]
+        for k_max in range(1, 11):
             traces = cl.trace_powers(a, k_max)
             assert traces.shape == (k_max,)
             assert traces[0] == float(np.trace(a))
             for k in range(1, k_max + 1):
                 assert traces[k - 1] == pytest.approx(dense[k - 1], rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_bits_depend_on_half_power_count_alone(self, shape, n):
+        # k_max 2h - 1 and 2h form and read the same powers the same way
+        a = np.random.default_rng(90 + n).standard_normal(shape + (n, n)) / np.sqrt(n)
+        for h in range(1, 6):
+            odd, even = cl.trace_powers(a, 2 * h - 1), cl.trace_powers(a, 2 * h)
+            assert np.array_equal(odd, even[..., : 2 * h - 1]), h
 
     @pytest.mark.parametrize("n", [1, 6, 33])
     def test_stack_matches_per_matrix_calls(self, n):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -86,10 +87,9 @@ class TestWeaverFirstTraces:
         # trials); stacks are capped at 200 trials to keep small orders fast
         stack_size = fluctuation._stack_size
         monkeypatch.setattr(fluctuation, "_stack_size", lambda n: min(stack_size(n), 200))
-        # k_max 2, 4, 5, 7: one, one, two and three half powers, so both
-        # parities of ceil(k_max/2) and both stored layouts of a power;
-        # k_max 1 has no half power, and k_max 6 reads Tr A^3 A^3 off a pair
-        # of the same layout
+        # k_max 2, 4, 5, 7 take h = ceil(k_max/2) = 1, 2, 3, 4: both parities
+        # of h, with and without a transposed top power; k_max 1 forms no
+        # power, and k_max 6 reduces Tr A^3 A^3 over the transposed A^3
         k_maxes = (1, 2, 4, 5, 6, 7)
         for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
             trials = fluctuation._stack_size(n) + 9
@@ -124,9 +124,24 @@ class TestWeaverFirstTraces:
         assert np.array_equal(full, draw_traces(cells[:, : cl.class_count(n)].copy()))
         assert np.array_equal(full[:, 0], np.trace(cells.reshape(3, n, n), axis1=1, axis2=2))
 
+    @pytest.mark.parametrize(
+        "n, k_max, dist, digest",
+        [
+            (7, 4, "gaussian", "32b9117f07079d31"),
+            (63, 6, "uniform", "f279a432009ee66d"),
+            (64, 5, "gaussian", "0f34ad96038d4128"),
+        ],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trial_traces_pin(self, n, k_max, dist, digest, threads):
+        # frozen bits of the trial loop; 70 trials make three stacks at n = 63, 64
+        traces = _trial_traces(n, 70, k_max, dist, 28, threads)
+        assert hashlib.sha256(traces.tobytes()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("n", range(1, 14))
     def test_les_polynomial_is_the_trial_loop_on_one_matrix(self, n):
-        # bitwise only at the same k_max: the trace plan depends on it
+        # bitwise only at the same h = ceil(k_max/2): how traces are read
+        # depends on it
         fs = [cl.Polynomial([0, 0, 1, 0, 0, 4]), cl.Polynomial([0.5, 1j, 0, 2 - 1j])]
         for dist, f in itertools.product(("gaussian", "uniform"), fs):
             traces = _trial_traces(n, 5, f.degree, dist, 17, 1)

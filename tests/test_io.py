@@ -6,6 +6,8 @@ import pytest
 import centrolab as cl
 from centrolab import io
 
+from _helpers import loads_strict
+
 
 class TestMatrixCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -104,3 +106,17 @@ class TestJson:
         p2 = io.write_json(tmp_path / "b.json", payload)
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == payload
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        payload = {"a": float("nan"), "b": [1.5, float("inf")], "c": {"d": (-np.inf, np.nan)}}
+        text = io.write_json(tmp_path / "a.json", payload).read_text()
+        assert loads_strict(text) == {
+            "a": None,
+            "b": [1.5, None],
+            "c": {"d": [None, None]},
+        }
+
+    def test_non_finite_value_the_conversion_misses_raises(self, tmp_path):
+        # dict keys are left as they are
+        with pytest.raises(ValueError):
+            io.write_json(tmp_path / "a.json", {float("nan"): 1})
