@@ -1,28 +1,32 @@
 """Dense nonsymmetric eigensolver and trace-power evaluation.
 
 Eigenvalues come from the classical dense pipeline: diagonal balancing,
-Householder reduction to Hessenberg form, then implicit double-shift
-(Francis) QR with deflation.  Complex conjugate pairs emerge from real
-2x2 blocks, so the iteration itself never touches complex arithmetic.
-``spectra`` is the one QR core: it sweeps a stack of matrices in
-lockstep, so the bulges of all of them go through the same numpy calls.
-Each bulge-chase step forms every matrix's symmetric 3x3 Householder
-reflector (the closing 2x2 one embedded as ``diag(R, 1)``, the identity
-where the matrix's window does not reach) from Python floats and applies
-them with one stacked in-place product per side, to the rows and then
-the columns they touch.  A step is six numpy calls (a view, a stacked
-product and its assignment per side) plus, for each matrix whose window
-covers it, one ``_householder`` call and two ``struct`` calls that read
-its bulge column out of the stack's bytes and write its reflector into
-the stacked reflector's.  For the two order-100 Weaver blocks of
-``centrolab spectrum --n 200`` a step takes about 8.5 us on a quiet
-2-vCPU host, nearly all of it call overhead rather than arithmetic, so
-solving two matrices together takes about as many calls as solving one.
-``eigenvalues`` is ``spectra`` on one matrix.  Both are general dense
-solvers: they do not look for centrosymmetry.  ``centrolab spectrum``
-solves the two Weaver blocks together in one ``spectra`` call, while
-tests compare that against the full-matrix solve as an independent
-route.
+Householder reduction to Hessenberg form, then implicit multishift QR
+with deflation.  Complex conjugate pairs emerge from real 2x2 blocks, so
+the iteration itself never touches complex arithmetic.  ``spectra`` is
+the one QR core: it sweeps a stack of matrices in lockstep, so the
+bulges of all of them go through the same numpy calls.  A sweep chases
+one bulge that carries m = ``_SHIFTS`` = 6 shifts, the multishift QR of
+Bai and Demmel (1989): its first column is p(H) e1, p the
+characteristic polynomial of the trailing m x m submatrix of the
+unreduced block being swept, and (m + 1) x (m + 1) Householder
+reflectors chase it down the block.  A block of fewer than m + 2 rows,
+and the exceptional shift (LAPACK xLAHQR's) of every tenth stalled
+sweep, take the double shift instead, a three-entry bulge in the same
+reflectors.  Each round
+every unreduced block of every matrix takes one sweep, so the bulges of
+the stacked matrices span about the same rows.  A step is one ``take``
+that reads every bulge column, the reflectors of all matrices formed
+together (their scalars in Python floats, then one ``struct`` write and
+one stacked product), and one stacked product per side.  For the two
+order-100 Weaver blocks of ``centrolab spectrum --n 200`` a step takes
+about 12 us on a 2-vCPU host, nearly all of it call overhead rather
+than arithmetic, and a solve about 4,100 steps (the 3x3 steps of a
+double-shift chase took about 8 us, and a solve about 10,300 of them).  ``eigenvalues`` is ``spectra`` on one matrix.  Both are
+general dense solvers: they do not look for centrosymmetry.
+``centrolab spectrum`` solves the two Weaver blocks together in one
+``spectra`` call, while tests compare that against the full-matrix
+solve as an independent route.
 
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
@@ -71,7 +75,8 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _DEFLATE = 8.0 * _EPS  # subdiagonal negligibility threshold
-_EXCEPTIONAL_EVERY = 10  # stalled sweeps between ad-hoc shifts
+_EXCEPTIONAL_EVERY = 10  # stalled sweeps between exceptional shifts
+_SHIFTS = 6  # m, the shifts one bulge carries: 6 ran fastest of 4, 6 and 8
 # range of the largest balanced entry that the QR sweeps take unscaled:
 # products of two entries neither overflow nor underflow there (2**-459
 # and 2**459, LAPACK xGEEV's thresholds)
@@ -87,11 +92,12 @@ class Spectrum:
     """Eigenvalue multiset plus solver diagnostics.
 
     ``values`` holds all n eigenvalues (complex entries in conjugate
-    pairs); ``iterations`` counts QR sweeps, ``exceptional_shifts`` the
-    sweeps among them that took an ad-hoc shift.  ``converged`` is False
-    in two cases only.  Either some block failed to deflate within the
-    sweep budget, in which case ``values`` still has length n but
-    carries best-effort entries for the unconverged window.  Or an
+    pairs); ``iterations`` counts QR sweeps, one per unreduced block and
+    round, ``exceptional_shifts`` the sweeps among them that took an
+    exceptional shift.  ``converged`` is False in two cases only.
+    Either some block failed to deflate within the sweep budget, in
+    which case ``values`` still has length n but carries best-effort
+    entries for the unconverged window.  Or an
     eigenvalue lies past the double range, so scaling it back overflowed
     and ``values`` holds an infinite entry.
     """
@@ -205,34 +211,55 @@ def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
     return complex(half, root), complex(half, -root)
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-# writes nine floats as native doubles, the layout of a float64 array, at a byte offset
-_pack_reflector = struct.Struct("9d").pack_into
+def _householder(count: int, width: int):
+    """Buffers and one call that form ``count`` symmetric reflectors together.
 
-
-def _householder(x: float, y: float, z: float | None = None):
-    """Symmetric reflector ``R = I - tau v v^T`` mapping (x, y[, z]) onto +/- e1.
-
-    Returns the nine row-major entries of a 3x3 matrix as Python floats;
-    without z, R is 2x2 and comes embedded as ``diag(R, 1)``.  Returns
-    None when the column is zero.  The scalars are LAPACK ``dlarfg``'s:
-    ``v[0] = 1`` and ``|v[i]| <= 1``, so nothing overflows.
+    Returns ``(col, form)``.  ``form()`` reads ``col``, a ``(count, width)``
+    stack of columns, and returns the ``(count, width, width)`` stack of
+    reflectors ``R_j = I - tau_j v_j v_j^T`` mapping column j onto
+    ``beta_j e1``, ``|beta_j|`` its norm; both arrays are reused by the
+    next call.  The scalars are LAPACK ``dlarfg``'s, with ``beta_j``
+    signed against ``x0 = col[j, 0]``: ``d = x0 - beta_j`` (no
+    cancellation), ``v_j = col[j] / d`` with ``v_j[0] = 1``, and
+    ``tau_j = 1 + |x0| / |beta_j|``.  They are Python floats, the norm from
+    ``math.hypot``, so nothing overflows or underflows; a zero column gets
+    the identity.  The numpy work is the same three calls whatever
+    ``count`` and ``width`` are: one ``tolist``, one ``struct`` write of
+    every ``w_j = sqrt(tau_j) v_j`` and ``-w_j``, and one stacked product
+    ``[w_j | I] [-w_j | I]^T``, whose entries for R_j come from w_j alone
+    and are exactly symmetric.
     """
-    beta = math.hypot(x, y) if z is None else math.hypot(x, y, z)
-    if beta == 0.0:
-        return None
-    if x > 0:
-        beta = -beta
-    d = x - beta  # |d| = |x| + |beta|: no cancellation
-    tau = -d / beta
-    v1 = y / d
-    t1 = tau * v1
-    if z is None:
-        return (1.0 - tau, -t1, 0.0, -t1, 1.0 - t1 * v1, 0.0, 0.0, 0.0, 1.0)
-    v2 = z / d
-    t2 = tau * v2
-    t12 = t1 * v2
-    return (1.0 - tau, -t1, -t2, -t1, 1.0 - t1 * v1, -t12, -t2, -t12, 1.0 - t2 * v2)
+    col = np.empty((count, width))
+    # factor row 0 holds w_j and -w_j for every j, contiguous; the identity
+    # rows below it are written once
+    blocks = np.zeros((width + 1, count, 2, width))
+    blocks[1:] = np.eye(width)[:, None, None, :]
+    left = blocks[:, :, 0].transpose(1, 2, 0)
+    right = blocks[:, :, 1].transpose(1, 0, 2)
+    r = np.empty((count, width, width))
+    write = struct.Struct(f"{2 * count * width}d").pack_into
+    block_bytes = memoryview(blocks).cast("B")
+    zeros = (0.0,) * (2 * width)
+    hypot, copysign, sqrt = math.hypot, math.copysign, math.sqrt
+
+    def form() -> np.ndarray:
+        factors = []
+        for u in col.tolist():
+            norm = hypot(*u)
+            if norm:
+                x0 = u[0]
+                d = x0 + copysign(norm, x0)
+                root = sqrt(1.0 + abs(x0) / norm)
+                w = [x / d * root for x in u]  # |x / d| <= 1
+                w[0] = root
+                factors += w
+                factors += [-x for x in w]
+            else:
+                factors += zeros
+        write(block_bytes, 0, *factors)
+        return np.matmul(left, right, out=r)
+
+    return col, form
 
 
 def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
@@ -266,57 +293,105 @@ def _reduce(mat) -> tuple[np.ndarray, int]:
     return hessenberg(np.ldexp(b, -exp) if exp else b), exp
 
 
-def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: bool) -> tuple[float, float, float]:
-    """First column (x, y, z) of the double-shift polynomial on window [lo, hi].
+def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: str | None) -> list[float]:
+    """First column of the shift polynomial p(H) on the unreduced block [lo, hi].
 
-    The shifts are the eigenvalues of the trailing 2x2 block, or with
-    ``adhoc`` an exceptional pair built from the stalled subdiagonal
-    magnitudes.
+    With ``_SHIFTS`` = m, p is the characteristic polynomial of the
+    block's trailing m x m submatrix, and the column has m + 1 entries.
+    Its coefficients come from the Hessenberg recurrence and the column
+    from Horner's rule, in Python floats, on a copy of the entries it
+    reads scaled by the power of two that brings their largest to
+    [1/2, 1), so m-fold products neither overflow nor underflow.  A
+    block of fewer than m + 2 rows, or ``adhoc``, takes the double shift
+    instead, with a column of three entries: the eigenvalues of the
+    trailing 2x2 submatrix, or LAPACK xLAHQR's exceptional pair
+    ``c +/- i sqrt(0.4375) s``, where ``adhoc`` is ``"bottom"`` or
+    ``"top"``, s sums the two subdiagonal magnitudes at that corner of
+    the block and ``c = h[r, r] + 0.75 s`` for its corner entry h[r, r].
     """
     item = h.item
-    if adhoc:
-        mag = abs(item(hi, hi - 1)) + abs(item(hi - 1, hi - 2))
-        shift_sum = 1.5 * mag
-        shift_prod = -0.4375 * mag * mag
-    else:
-        a, b, c, d = item(hi - 1, hi - 1), item(hi - 1, hi), item(hi, hi - 1), item(hi, hi)
-        shift_sum = a + d
-        shift_prod = a * d - b * c
-    h00, h01 = item(lo, lo), item(lo, lo + 1)
-    h10, h11, h21 = item(lo + 1, lo), item(lo + 1, lo + 1), item(lo + 2, lo + 1)
-    x = h00 * h00 + h01 * h10 - shift_sum * h00 + shift_prod
-    y = h10 * (h00 + h11 - shift_sum)
-    z = h10 * h21
-    return x, y, z
+    if adhoc or hi - lo < _SHIFTS + 1:
+        if adhoc:
+            if adhoc == "bottom":
+                mag = abs(item(hi, hi - 1)) + abs(item(hi - 1, hi - 2))
+                centre = item(hi, hi) + 0.75 * mag
+            else:
+                mag = abs(item(lo + 1, lo)) + abs(item(lo + 2, lo + 1))
+                centre = item(lo, lo) + 0.75 * mag
+            shift_sum = 2.0 * centre
+            shift_prod = centre * centre + 0.4375 * mag * mag
+        else:
+            a, b, c, d = item(hi - 1, hi - 1), item(hi - 1, hi), item(hi, hi - 1), item(hi, hi)
+            shift_sum = a + d
+            shift_prod = a * d - b * c
+        h00, h01 = item(lo, lo), item(lo, lo + 1)
+        h10, h11, h21 = item(lo + 1, lo), item(lo + 1, lo + 1), item(lo + 2, lo + 1)
+        x = h00 * h00 + h01 * h10 - shift_sum * h00 + shift_prod
+        y = h10 * (h00 + h11 - shift_sum)
+        z = h10 * h21
+        return [x, y, z]
+    m = _SHIFTS
+    tail = h[hi - m + 1 : hi + 1, hi - m + 1 : hi + 1]
+    head = h[lo : lo + m + 1, lo : lo + m]
+    exp = math.frexp(max(np.abs(tail).max(), np.abs(head).max()))[1]
+    t = np.ldexp(tail, -exp).tolist()
+    g = np.ldexp(head.T, -exp).tolist()  # g[q]: column q of the head
+    # polys[i]: coefficients, constant first, of det(zI - T_i) for the leading
+    # i x i block T_i of the tail, by the Hessenberg recurrence
+    # p_{i+1} = z p_i - sum_{q<=i} t_qi t_{q+1,q} ... t_{i,i-1} p_q
+    polys = [[1.0]]
+    for i in range(m):
+        nxt = [0.0, *polys[i]]
+        chain = 1.0
+        for q in range(i, -1, -1):
+            coef = t[q][i] * chain
+            for e, c in enumerate(polys[q]):
+                nxt[e] -= coef * c
+            if q:
+                chain *= t[q][q - 1]
+        polys.append(nxt)
+    # Horner's rule on the head, column by column: v <- H v + c_e e1, from the
+    # leading coefficient down; column q of H has rows 0 .. q + 1
+    columns = [col[: q + 2] for q, col in enumerate(g)]
+    v = [1.0]
+    for c in reversed(polys[m][:m]):
+        w = [0.0] * (len(v) + 1)
+        for vq, column in zip(v, columns):
+            for r, x in enumerate(column):
+                w[r] += x * vq
+        w[0] += c
+        v = w
+    return v
 
 
 def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     """Full eigenvalue multisets of real square matrices, solved in lockstep.
 
     Each matrix goes through ``balance`` -> ``hessenberg`` -> implicit
-    double-shift QR with deflation, and its ``Spectrum`` is bitwise the
+    multishift QR with deflation, and its ``Spectrum`` is bitwise the
     one it gets when solved alone (``eigenvalues``).  The Hessenberg
-    forms are zero-padded into one stack of the largest order plus one
-    spare row and column, and each matrix keeps its slot for the whole
-    solve.  Each round, one pass over the stack lets every unfinished
-    matrix deflate what it can and then start one double-shift sweep on
-    its own active window [lo, hi], with its own shifts, stall counter,
-    exceptional shifts and sweep budget.  The bulges are chased
-    together: at step k every matrix whose window covers k gets its 3x3
-    reflector (the closing 2x2 one embedded as ``diag(R, 1)``), every
-    other matrix the identity, and one stacked product per side applies
-    them all.  A finished matrix stays in the stack under the identity;
-    its entries are never read again, and a stacked product's bits for
-    one matrix do not depend on the others.  The stacked reflector and
-    the byte views of it and of the stack are made once per call.  A
-    matrix's reflector is packed into the stacked one's bytes only at the
-    steps its window covers and reset to the identity once when it
-    leaves; its bulge column is unpacked from the stack's bytes; the
-    slice bounds of every step are laid out once per round.  The rows
-    and columns a stacked slice touches beyond a matrix's window are
-    never read again by eigenvalue-only QR, except column lo - 1, whose
-    three entries at and below the deflated h[lo, lo-1] are zeroed so
-    the reflector leaves them zero.
+    forms are zero-padded into one stack of the largest order plus m - 1
+    spare rows and columns (m = ``_SHIFTS``), which take the closing
+    steps, and each matrix keeps its slot for the whole solve.  Each
+    round, one pass over the stack lets every unfinished matrix peel its
+    deflated 1x1 and 2x2 blocks and start one sweep on each of its
+    unreduced blocks [lo, hi] of three or more rows, with the block's own
+    shifts (``_bulge``) and stall count.  The bulges are chased together:
+    at step k every block that covers k reads its bulge column, the
+    first column of its sweep at k = lo, and every matrix with no block
+    at k reads a zero column, whose reflector is the identity; one
+    stacked product per side then applies all the reflectors.  A
+    finished matrix stays in the stack under the identity; its entries
+    are never read again, and a stacked product's bits for one matrix do
+    not depend on the others.  The flat buffer behind the stack, the
+    reflector buffers and where each step may read a bulge column are
+    laid out once per call; the reads of every step once per round.  When
+    a subdiagonal h[lo, lo-1] is first found negligible, it is set to
+    zero with the entries left of and below it, which rounding alone
+    made nonzero, so the products of the blocks on either side mix only
+    zeros there and the blocks stay apart.  Rows and columns a stacked
+    slice touches beyond the blocks being swept are never read again by
+    eigenvalue-only QR.
 
     ``balance`` skips an index whose row or column sum overflows and keeps
     its scale factor within [2**-969, 2**969], so finite entries stay
@@ -330,37 +405,50 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     after balancing keeps the small entries of graded matrices, which
     scaling the raw input by its largest entry would flush to zero.  A
     subdiagonal entry h[i+1, i] is treated as zero when
-    ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``; an ad-hoc
-    exceptional shift is used every 10 stalled sweeps and counted in
-    ``exceptional_shifts``.  ``max_sweeps`` caps each matrix's sweep
-    count (default ``30 * n`` for a matrix of order n; a negative cap
-    raises ``ValueError``); on exhaustion that matrix is flagged
-    ``converged=False`` with best-effort values.
+    ``|h[i+1, i]| <= 8*eps*(|h[i, i]| + |h[i+1, i+1]|)``.  The tenth,
+    thirtieth, ... sweep of a block no deflation has changed takes an
+    exceptional shift from the block's bottom corner, the twentieth,
+    fortieth, ... one from its top corner, as LAPACK xLAHQR does; they
+    are counted in ``exceptional_shifts``.
+    ``max_sweeps`` caps each matrix's sweep count, summed over its blocks
+    (default ``30 * n`` for a matrix of order n; a negative cap raises
+    ``ValueError``); a matrix out of budget with no sweep left to chase
+    is flagged ``converged=False`` with best-effort values.
     """
     if max_sweeps is not None and max_sweeps < 0:
         raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
     reduced = [_reduce(m) for m in mats]
     if not reduced:
         return []
-    orders = [h.shape[0] for h, _ in reduced]
-    size = max(orders) + 1
-    stack = np.zeros((len(reduced), size, size))
+    lanes, orders = len(reduced), [h.shape[0] for h, _ in reduced]
+    width = _SHIFTS + 1  # rows and columns a reflector spans
+    size = max(orders) + width - 2  # spare rows and columns take the closing steps
+    # one flat buffer: the stack of zero-padded Hessenberg forms, a slot per
+    # matrix and row for the first bulge column of a sweep starting there, and
+    # one zero.  Each step reads every bulge column with one ``take`` from it
+    flat = np.zeros(lanes * size * (size + width) + 1)
+    stack = flat[: lanes * size * size].reshape(lanes, size, size)
+    firsts = flat[stack.size : -1].reshape(lanes, size, width)
+    zero_at = flat.size - 1
     for padded, (h, _) in zip(stack, reduced):
         padded[: h.shape[0], : h.shape[0]] = h
+    # column_at[j, k]: where h[k .. k + width - 1, k - 1] of stack[j] lies;
+    # first_at[j, k]: where the first bulge column of a sweep from row k lies
+    ks, offsets = np.ogrid[:size, :width]
+    column_at = (size * np.arange(lanes)[:, None, None] + ks + offsets) * size + ks - 1
+    first_at = stack.size + width * (size * np.arange(lanes)[:, None, None] + ks) + offsets
+    # reads[n][t]: which entries a bulge of length n reads t rows above hi
+    reads = {n: np.minimum(n, ks + 1) > offsets for n in {3, width}}
     values = [np.empty(n, dtype=complex) for n in orders]
     budgets = [30 * n if max_sweeps is None else max_sweeps for n in orders]
-    his = [n - 1 for n in orders]
-    sweeps = [0] * len(orders)
-    stalls = [0] * len(orders)
-    exceptional = [0] * len(orders)
-    converged = [True] * len(orders)
-    r = np.empty((len(orders), 3, 3))  # R_j, the reflector of stack[j]
-    # Python floats go into R and come out of the stack through their bytes: one
-    # struct call per matrix and step costs less than a numpy conversion for all
-    r_bytes = memoryview(r).cast("B")
-    stack_bytes = memoryview(stack).cast("B")
-    # h[i, c], h[i + 1, c], h[i + 2, c] of a stacked matrix, from the byte offset of h[i, c]
-    read_column = struct.Struct(f"d{8 * size - 8}xd{8 * size - 8}xd").unpack_from
+    his = [n - 1 for n in orders]  # the last row not yet peeled
+    sweeps = [0] * lanes
+    exceptional = [0] * lanes
+    converged = [True] * lanes
+    stalls = [{} for _ in orders]  # sweeps each unreduced block [lo, hi] has taken
+    peeled = [{} for _ in orders]  # hi -> lo of each 1x1 or 2x2 block peeled above his
+    cuts = [set() for _ in orders]  # rows lo whose h[lo, lo - 1] has been zeroed
+    col, form = _householder(lanes, width)
 
     while True:
         # one vectorized deflation test per round; peeling leaves it valid.
@@ -369,54 +457,79 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
         negligible = (
             np.abs(stack.diagonal(-1, 1, 2)) <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
         ).tobytes()
-        chases = []  # (lo, hi, first bulge column, byte offsets of R_j and stack[j])
+        chases = []  # (matrix, lo, hi, length of the first bulge column)
         for j, h in enumerate(stack):
             hi, row = his[j], (size - 1) * j
-            while hi >= 0:
-                # the lowest row of the active block: just below the first negligible
-                # subdiagonal above hi, or row 0
-                lo = max(negligible.rfind(1, row, row + hi) + 1 - row, 0)
-                if lo < hi - 1:
-                    break
-                _peel_blocks(h, lo, hi, values[j])  # a deflated 1x1 or 2x2 block
-                hi = lo - 1
-                stalls[j] = 0
-            if hi >= 0:
-                if lo:  # column lo - 1 then stays zero under the stacked row products
-                    h[lo : lo + 3, lo - 1] = 0.0
-                if sweeps[j] >= budgets[j]:
-                    converged[j] = False
-                    _peel_blocks(h, 0, hi, values[j])
-                    hi = -1
-                else:
+            if hi < 0:
+                continue
+            # every unreduced block of rows [lo, i] up to hi takes one sweep while
+            # the budget lasts; a matrix out of budget with no sweep left to chase
+            # keeps its diagonal blocks as they stand
+            queued, exhausted, blocks = len(chases), False, {}
+            i = hi
+            while i >= 0:
+                if i in peeled[j]:
+                    i = peeled[j][i] - 1
+                    continue
+                # the lowest row of the block: just below the first negligible
+                # subdiagonal above i, or row 0
+                lo = max(negligible.rfind(1, row, row + i) + 1 - row, 0)
+                if lo and lo not in cuts[j]:
+                    # zero h[lo, lo - 1] and the entries left of and below it, so
+                    # the stacked products on either side mix only zeros there
+                    h[lo : lo + width, max(lo - width, 0) : lo] = 0.0
+                    cuts[j].add(lo)
+                if lo >= i - 1:
+                    _peel_blocks(h, lo, i, values[j])  # a deflated 1x1 or 2x2 block
+                    peeled[j][i] = lo
+                elif sweeps[j] < budgets[j]:
                     sweeps[j] += 1
-                    stalls[j] += 1
-                    adhoc = stalls[j] % _EXCEPTIONAL_EVERY == 0
-                    exceptional[j] += adhoc
-                    chases.append((lo, hi, _bulge(h, lo, hi, adhoc), 72 * j, 8 * size * size * j))
+                    taken = blocks[lo, i] = stalls[j].get((lo, i), 0) + 1
+                    adhoc = None
+                    if taken % _EXCEPTIONAL_EVERY == 0:
+                        adhoc = "top" if taken % (2 * _EXCEPTIONAL_EVERY) == 0 else "bottom"
+                        exceptional[j] += 1
+                    first = _bulge(h, lo, i, adhoc)
+                    firsts[j, lo, : len(first)] = first
+                    chases.append((j, lo, i, len(first)))
+                else:
+                    exhausted = True
+                i = lo - 1
+            stalls[j] = blocks
+            while hi in peeled[j]:
+                hi = peeled[j].pop(hi) - 1
+            if exhausted and len(chases) == queued:
+                converged[j] = False
+                _peel_blocks(h, 0, hi, values[j])
+                hi = -1
             his[j] = hi
         if not chases:
             break
 
-        k0 = min(lo for lo, _, _, _, _ in chases)
-        k1 = max(hi for _, hi, _, _, _ in chases)
-        r[:] = np.eye(3)
+        k0 = min(lo for _, lo, _, _ in chases)
+        k1 = max(hi for _, _, hi, _ in chases)
+        # step k reads each bulge column from the sweep's first column at k = lo,
+        # from the stack after that, and zero where the bulge is shorter or past
+        # hi and at every matrix with no sweep at k
+        at = np.full((k1 - k0, lanes, width), zero_at)
+        for j, lo, hi, n in chases:
+            at[lo - k0, j, :n] = first_at[j, lo, :n]
+            np.copyto(
+                at[lo - k0 + 1 : hi - k0, j],
+                column_at[j, lo + 1 : hi],
+                where=reads[n][hi - lo - 1 : 0 : -1],
+            )
         # chase every bulge down its window; step k is the identity outside [lo, hi).
-        # Step k's rows start at column max(k0, k - 1), its columns end at row min(k + 4, k1 + 1)
+        # Step k's rows start at column max(k0, k - 1), its columns end at row
+        # min(k + width + 1, k1 + 1)
         row_starts = chain((k0,), range(k0, k1))
-        col_ends = chain(range(k0 + 4, k1 + 2), repeat(k1 + 1))
-        for k, start, end in zip(range(k0, k1), row_starts, col_ends):
-            bulge = 8 * (size + 1) * k - 8  # byte offset of h[k, k - 1]: the bulge step k - 1 left
-            for lo, hi, first, at_r, at_h in chases:
-                if lo <= k < hi:
-                    x, y, z = first if k == lo else read_column(stack_bytes, at_h + bulge)
-                    reflector = _householder(x, y, z if k < hi - 1 else None) or _IDENTITY
-                    _pack_reflector(r_bytes, at_r, *reflector)
-                elif k == hi:
-                    _pack_reflector(r_bytes, at_r, *_IDENTITY)
-            rows = stack[:, k : k + 3, start : k1 + 1]
+        col_ends = chain(range(k0 + width + 1, k1 + 2), repeat(k1 + 1))
+        for k, start, end, cells in zip(range(k0, k1), row_starts, col_ends, at):
+            flat.take(cells, out=col, mode="clip")
+            r = form()
+            rows = stack[:, k : k + width, start : k1 + 1]
             rows[...] = r @ rows
-            cols = stack[:, k0:end, k : k + 3]
+            cols = stack[:, k0:end, k : k + width]
             cols[...] = cols @ r
 
     out = []
