@@ -262,12 +262,14 @@ def _householder(count: int, width: int):
     return col, form
 
 
-def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
-    """Fill values[lo..hi] from the current 1x1/2x2 diagonal blocks as-is."""
+def _peel_blocks(h: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues of h[:n, :n] off its diagonal blocks, bottom up: 1x1 where the
+    subdiagonal is exactly zero, else 2x2 (best effort in an unreduced block)."""
+    values = np.empty(n, dtype=complex)
     item = h.item
-    i = hi
-    while i >= lo:
-        if i == lo or item(i, i - 1) == 0.0:
+    i = n - 1
+    while i >= 0:
+        if i == 0 or item(i, i - 1) == 0.0:
             values[i] = item(i, i)
             i -= 1
         else:
@@ -275,6 +277,7 @@ def _peel_blocks(h: np.ndarray, lo: int, hi: int, values: np.ndarray) -> None:
                 item(i - 1, i - 1), item(i - 1, i), item(i, i - 1), item(i, i)
             )
             i -= 2
+    return values
 
 
 def _reduce(mat) -> tuple[np.ndarray, int]:
@@ -373,25 +376,28 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     forms are zero-padded into one stack of the largest order plus m - 1
     spare rows and columns (m = ``_SHIFTS``), which take the closing
     steps, and each matrix keeps its slot for the whole solve.  Each
-    round, one pass over the stack lets every unfinished matrix peel its
-    deflated 1x1 and 2x2 blocks and start one sweep on each of its
-    unreduced blocks [lo, hi] of three or more rows, with the block's own
-    shifts (``_bulge``) and stall count.  The bulges are chased together:
-    at step k every block that covers k reads its bulge column, the
-    first column of its sweep at k = lo, and every matrix with no block
-    at k reads a zero column, whose reflector is the identity; one
-    stacked product per side then applies all the reflectors.  A
-    finished matrix stays in the stack under the identity; its entries
-    are never read again, and a stacked product's bits for one matrix do
-    not depend on the others.  The flat buffer behind the stack, the
+    round, one pass over the stack starts one sweep on each unreduced
+    block [lo, hi] of three or more rows of every unfinished matrix, with
+    the block's own shifts (``_bulge``) and stall count, and skips its
+    deflated 1x1 and 2x2 blocks.  The bulges are chased together: at
+    step k every block that covers k reads its bulge column, the first
+    column of its sweep at k = lo, and every matrix with no block at k
+    reads a zero column, whose reflector is the identity; one stacked
+    product per side then applies all the reflectors, and its bits for
+    one matrix do not depend on the others.  A stacked slice's reflector
+    is the identity on every deflated block's rows and columns, which
+    leaves the entries of a deflated block, and of a finished matrix, as
+    they are (no entry is -0.0, see ``_reduce``), so every eigenvalue is
+    read once, by ``_peel_blocks``, from the final quasi-triangular stack
+    after the last round.  The flat buffer behind the stack, the
     reflector buffers and where each step may read a bulge column are
-    laid out once per call; the reads of every step once per round.  When
-    a subdiagonal h[lo, lo-1] is first found negligible, it is set to
-    zero with the entries left of and below it, which rounding alone
+    laid out once per call; the reads of every step once per round.
+    When a subdiagonal h[lo, lo-1] is first found negligible, it is set
+    to zero with the entries left of and below it, which rounding alone
     made nonzero, so the products of the blocks on either side mix only
-    zeros there and the blocks stay apart.  Rows and columns a stacked
-    slice touches beyond the blocks being swept are never read again by
-    eigenvalue-only QR.
+    zeros there and the blocks stay apart.  The entries a stacked slice
+    changes outside the diagonal blocks are never read by eigenvalue-only
+    QR.
 
     ``balance`` skips an index whose row or column sum overflows and keeps
     its scale factor within [2**-969, 2**969], so finite entries stay
@@ -439,19 +445,17 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     first_at = stack.size + width * (size * np.arange(lanes)[:, None, None] + ks) + offsets
     # reads[n][t]: which entries a bulge of length n reads t rows above hi
     reads = {n: np.minimum(n, ks + 1) > offsets for n in {3, width}}
-    values = [np.empty(n, dtype=complex) for n in orders]
     budgets = [30 * n if max_sweeps is None else max_sweeps for n in orders]
-    his = [n - 1 for n in orders]  # the last row not yet peeled
+    his = [n - 1 for n in orders]  # where each scan starts: the last row not yet deflated
     sweeps = [0] * lanes
     exceptional = [0] * lanes
     converged = [True] * lanes
     stalls = [{} for _ in orders]  # sweeps each unreduced block [lo, hi] has taken
-    peeled = [{} for _ in orders]  # hi -> lo of each 1x1 or 2x2 block peeled above his
     cuts = [set() for _ in orders]  # rows lo whose h[lo, lo - 1] has been zeroed
     col, form = _householder(lanes, width)
 
     while True:
-        # one vectorized deflation test per round; peeling leaves it valid.
+        # one vectorized deflation test per round; zeroing a cut leaves it valid.
         # Byte (size - 1) * j + i is 1 where stack[j]'s h[i + 1, i] is negligible
         diag = np.abs(stack.diagonal(0, 1, 2))
         negligible = (
@@ -468,9 +472,6 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
             queued, exhausted, blocks = len(chases), False, {}
             i = hi
             while i >= 0:
-                if i in peeled[j]:
-                    i = peeled[j][i] - 1
-                    continue
                 # the lowest row of the block: just below the first negligible
                 # subdiagonal above i, or row 0
                 lo = max(negligible.rfind(1, row, row + i) + 1 - row, 0)
@@ -479,9 +480,9 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
                     # the stacked products on either side mix only zeros there
                     h[lo : lo + width, max(lo - width, 0) : lo] = 0.0
                     cuts[j].add(lo)
-                if lo >= i - 1:
-                    _peel_blocks(h, lo, i, values[j])  # a deflated 1x1 or 2x2 block
-                    peeled[j][i] = lo
+                if lo >= i - 1:  # a deflated 1x1 or 2x2 block, read after the last round
+                    if i == hi:
+                        hi = lo - 1
                 elif sweeps[j] < budgets[j]:
                     sweeps[j] += 1
                     taken = blocks[lo, i] = stalls[j].get((lo, i), 0) + 1
@@ -496,11 +497,8 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
                     exhausted = True
                 i = lo - 1
             stalls[j] = blocks
-            while hi in peeled[j]:
-                hi = peeled[j].pop(hi) - 1
             if exhausted and len(chases) == queued:
                 converged[j] = False
-                _peel_blocks(h, 0, hi, values[j])
                 hi = -1
             his[j] = hi
         if not chases:
@@ -533,6 +531,7 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
             cols[...] = cols @ r
 
     out = []
+    values = map(_peel_blocks, stack, orders)  # every eigenvalue, read once from the final stack
     for vals, (_, exp), n_sweeps, ok, n_exc in zip(values, reduced, sweeps, converged, exceptional):
         if exp:
             with np.errstate(over="ignore"):  # inf past the double range, flagged below
@@ -627,8 +626,8 @@ def trace_powers(mat, k_max: int) -> np.ndarray:
     2h - 1 and 2h give bitwise equal traces, but different h need not,
     since Tr A^k is read differently.  ``trace_powers(x, 3)[2]`` (a
     reduction of A^2 and A^1) and ``trace_powers(x, 5)[2]`` (A^3's
-    diagonal) differ by 1.8e-15 for one 5x5 Gaussian x (ROADMAP item 6
-    makes them agree).
+    diagonal) differ by 1.8e-15 for one 5x5 Gaussian x (the ROADMAP item
+    "one determinism contract" makes them agree).
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")

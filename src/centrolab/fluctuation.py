@@ -44,7 +44,7 @@ OpenBLAS's threaded ``dgemm`` moves traces at n = 1000 by up to
 5.3e-15.  So can h: ``trace_powers`` reads Tr M^k off the stored powers
 in a way that depends on h alone, so k_max 5 and 6 give the same bits,
 but ``moment_suite`` at k_max 3 and 6 can give Tr M^3 with different
-last bits (ROADMAP item 6).
+last bits (the ROADMAP item "one determinism contract").
 
 Trial t draws exactly what
 ``sample_centro(n, dist, trial_seed(master_seed, t))`` draws, but the

@@ -365,15 +365,26 @@ class TestSpectra:
 
     def test_negative_zero_entries_match_solo_solves(self):
         # Hessenberg inputs, half their entries -0.0: an identity step turns
-        # -0.0 into +0.0, and zero eigenvalues kept the sign they met
+        # -0.0 into +0.0, and zero eigenvalues kept the sign they met.  Then
+        # exact zero eigenvalues (a nilpotent Jordan block, a triangular
+        # matrix with zeroed diagonal entries) and the cyclic shift, which
+        # finish while an order-40 matrix still sweeps: their deflated blocks
+        # stand unchanged under the identity steps until the last round
         rng = np.random.default_rng(13)
         mats = []
         for n in (4, 8, 12):
             a = rng.standard_normal((n, n))
             a[rng.random((n, n)) < 0.5] = -0.0
             mats.append(np.triu(a, -1))
-        for a, s in zip(mats, cl.spectra(mats)):
-            assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
+        tri = np.triu(rng.standard_normal((8, 8)))
+        tri[[1, 4, 6], [1, 4, 6]] = 0.0
+        late = [rng.standard_normal((40, 40)), np.diag(np.ones(4), 1), tri, np.roll(np.eye(7), 1, 0)]
+        for stack in (mats, late):
+            got = cl.spectra(stack)
+            for a, s in zip(stack, got):
+                assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
+        assert got[0].iterations > max(s.iterations for s in got[1:])
+        assert np.count_nonzero(got[1].values) == 0 and np.count_nonzero(got[2].values) == 5
 
     def test_empty_list(self):
         assert cl.spectra([]) == []
