@@ -237,8 +237,8 @@ class TestQRPin:
     @pytest.mark.parametrize(
         "n, law, seed, digests",
         [
-            (40, "gaussian", 7, ("877dbc049925dab3", "47a852f27cb95fa2")),
-            (31, "uniform", 5, ("a3e86fe76acbd887", "567a9dc570ae6612")),
+            (40, "gaussian", 7, ("dde8abc1ab443d77", "fbeec86bc4bf5231")),
+            (31, "uniform", 5, ("16b553a2264e52d1", "dbc4290421d99f37")),
         ],
     )
     def test_weaver_blocks(self, n, law, seed, digests):
@@ -249,7 +249,7 @@ class TestQRPin:
     def test_graded_matrix(self):
         s = cl.eigenvalues(self._graded())
         assert (s.iterations, s.exceptional_shifts, s.converged) == (14, 0, True)
-        assert self._digest(s) == "67ca910a3232a39e"
+        assert self._digest(s) == "5bd7106e55e7c278"
 
     def test_stacked_solve(self):
         # mixed orders that finish after 5, 11 and 24 sweeps (the cyclic shift
@@ -266,9 +266,9 @@ class TestQRPin:
             (24, 1, True),
         ]
         assert [self._digest(s) for s in got] == [
-            "377da9eb2814512d",
-            "b89ee75e97be332b",
-            "2dcb64640b689dc5",
+            "35374d228b0edacf",
+            "9b3351981f7f3ee0",
+            "56da04b6b5c5b0cf",
             "f808dc1e0847ecf1",
         ]
 
@@ -336,15 +336,18 @@ class TestSpectra:
             assert s.converged
             assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
 
-    @pytest.mark.parametrize("split", [2, 5, 9])
+    @pytest.mark.parametrize("split", [2, 5, 9, 31, 32, 33, 64])
     def test_lower_window_beside_a_full_window(self, split):
         # block upper triangular: the lower window starts at row ``split``,
-        # stacked beside matrices whose first window starts at row 0
+        # stacked beside matrices whose first window starts at row 0.  The
+        # zero subcolumn h[split:, split - 1] is reduced inside the first
+        # 32-column Hessenberg panel, at its last column (31), at the second
+        # panel's first (32) or at its last (63)
         rng = np.random.default_rng(split)
-        tri = rng.standard_normal((14, 14))
+        tri = rng.standard_normal((80, 80))
         tri[split:, :split] = 0.0
         assert cl.hessenberg(tri)[split, split - 1] == 0.0
-        mats = [rng.standard_normal((14, 14)), tri, rng.standard_normal((9, 9))]
+        mats = [rng.standard_normal((80, 80)), tri, rng.standard_normal((9, 9))]
         for a, s in zip(mats, cl.spectra(mats)):
             assert _solve_key(s) == _solve_key(cl.eigenvalues(a))
 
@@ -450,11 +453,24 @@ class TestHessenbergAndBalance:
         a = np.random.default_rng(2).standard_normal((9, 9))
         assert multiset_gap(np.linalg.eigvals(a), np.linalg.eigvals(cl.hessenberg(a))) < 1e-10
 
+    def test_blocked_form_at_every_panel_edge(self):
+        # one panel up to order 34, two up to 66, three from 67 on
+        rng = np.random.default_rng(32)
+        for n in [*range(71), 200]:
+            a = rng.standard_normal((n, n))
+            h = cl.hessenberg(a)
+            assert np.count_nonzero(np.tril(h, -2)) == 0, n
+            assert abs(np.trace(h) - np.trace(a)) <= 1e-12 * abs(np.trace(a)) + 1e-12 * n, n
+            if n:
+                gap = multiset_gap(np.linalg.eigvals(h), np.linalg.eigvals(a))
+                assert gap < 1e-8, (n, gap)
+
     @pytest.mark.parametrize("power", [600, -600])
     def test_hessenberg_power_of_two_scaling_is_exact(self, power):
-        a = np.random.default_rng(3).standard_normal((7, 7))
-        scaled = cl.hessenberg(np.ldexp(a, power))
-        assert np.array_equal(scaled, np.ldexp(cl.hessenberg(a), power))
+        for n in (7, 70):  # one panel, then three
+            a = np.random.default_rng(3).standard_normal((n, n))
+            scaled = cl.hessenberg(np.ldexp(a, power))
+            assert np.array_equal(scaled, np.ldexp(cl.hessenberg(a), power)), n
 
     def test_hessenberg_of_huge_entries(self):
         # squaring a column of 1e200 entries overflowed to inf/nan
@@ -464,9 +480,24 @@ class TestHessenbergAndBalance:
         ref = cl.hessenberg(a)
         assert np.max(np.abs(h / 1e200 - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [3, 8, 31])
-    def test_hessenberg_ordinary_input_unchanged(self, n):
-        # the unscaled reduction, frozen: ordinary inputs stay bit for bit
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (3, "62ad3e5c45c9174d"),
+            (8, "da458343d3ecd06a"),
+            (31, "ed24cf8457263e3f"),
+            (70, "ab79880da02b6342"),
+        ],
+        ids=["3", "8", "31", "70"],
+    )
+    def test_hessenberg_ordinary_input_unchanged(self, n, digest):
+        # the blocked reduction, frozen: ordinary inputs stay bit for bit
+        a = cl.sample_centro(n, "gaussian", n).entries
+        assert hashlib.sha256(cl.hessenberg(a).tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n", [3, 8, 31, 70])
+    def test_hessenberg_matches_unblocked_reference(self, n):
+        # the same reflectors applied one column at a time, two rank-1 updates each
         a = cl.sample_centro(n, "gaussian", n).entries
         ref = np.array(a, dtype=float)
         for k in range(n - 2):
@@ -481,7 +512,8 @@ class TestHessenbergAndBalance:
             ref[:, k + 1 :] -= np.outer(ref[:, k + 1 :] @ v, w * v)
             ref[k + 2 :, k] = 0.0
             ref[k + 1, k] = alpha
-        assert np.array_equal(cl.hessenberg(a), ref)
+        h = cl.hessenberg(a)
+        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_balance_skips_an_overflowing_sum(self):
         # row 0 sums to inf: balancing skips it rather than scale it without end
