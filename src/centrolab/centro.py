@@ -30,7 +30,6 @@ __all__ = [
     "WeaverBlocks",
     "assert_centrosymmetric",
     "class_count",
-    "counter_identity",
     "entry_class",
     "sample_centro",
     "sample_centro_batch",
@@ -41,16 +40,6 @@ __all__ = [
 DISTRIBUTIONS = ("gaussian", "uniform")
 
 _SQRT3 = math.sqrt(3.0)
-
-
-def counter_identity(n: int) -> np.ndarray:
-    """Exchange matrix J: ones on the anti-diagonal, zeros elsewhere.
-
-    J is symmetric, orthogonal, and an involution (``J @ J == I``).
-    """
-    if n < 1:
-        raise ValueError(f"matrix order must be positive, got {n}")
-    return np.eye(n)[::-1].copy()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ kernel pole, and a test function whose samples are all equal, included),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -237,19 +238,10 @@ def cmd_moments(cfg: SimpleNamespace) -> int:
     """Monte Carlo trace-moment estimates against targets."""
     trials = 2000 if cfg.trials is None else cfg.trials
     report = moment_suite(cfg.n, trials, cfg.kmax, cfg.dist, cfg.seed, cfg.threads)
-    rows = []
-    for e in report.entries:
-        rows.append(
-            {
-                "k": e.k,
-                "l": e.l,
-                "estimate": e.estimate,
-                "standard_error": e.standard_error,
-                "target": e.target,
-                "z_score": e.z_score,
-                "flag": "PASS" if abs(e.z_score) <= 4.0 else "FAIL",
-            }
-        )
+    rows = [
+        {**dataclasses.asdict(e), "flag": "PASS" if abs(e.z_score) <= 4.0 else "FAIL"}
+        for e in report.entries
+    ]
     payload = {
         "n": report.n,
         "trials": report.trials,

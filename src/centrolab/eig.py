@@ -3,9 +3,9 @@
 Eigenvalues come from the classical dense pipeline: diagonal balancing,
 Householder reduction to Hessenberg form, then implicit multishift QR
 with deflation.  ``hessenberg`` reduces in compact-WY panels of 32
-columns (LAPACK ``dgehrd``), 0.2 against 2.6 s for an unblocked loop at
-order 1000.  Complex conjugate pairs emerge from real 2x2 blocks, so
-the iteration itself never touches complex arithmetic.  ``spectra`` is
+columns (LAPACK ``dgehrd``).  Complex conjugate pairs emerge from
+real 2x2 blocks, so the iteration itself never touches complex
+arithmetic.  ``spectra`` is
 the one QR core: it sweeps a stack of matrices in lockstep, so the
 bulges of all of them go through the same numpy calls.  A sweep chases
 one bulge that carries m = ``_SHIFTS`` = 6 shifts, the multishift QR of
@@ -14,17 +14,17 @@ characteristic polynomial of the trailing m x m submatrix of the
 unreduced block being swept, and (m + 1) x (m + 1) Householder
 reflectors chase it down the block.  A block of fewer than m + 2 rows,
 and the exceptional shift (LAPACK xLAHQR's) of every tenth stalled
-sweep, take the double shift instead, a three-entry bulge in the same
-reflectors.  Each round
-every unreduced block of every matrix takes one sweep, so the bulges of
+sweep, take the double shift instead: three closed-form entries,
+padded with zeros, so every bulge column has m + 1 entries and every
+step of every chase reads that one shape.  Each round every unreduced
+block of every matrix takes one sweep, so the bulges of
 the stacked matrices span about the same rows.  A step is one ``take``
 that reads every bulge column, the reflectors of all matrices formed
 together (their scalars in Python floats, then one ``struct`` write and
 one stacked product), and one stacked product per side.  For the two
 order-100 Weaver blocks of ``centrolab spectrum --n 200`` a step takes
 about 12 us on a 2-vCPU host, nearly all of it call overhead rather
-than arithmetic, and a solve about 4,100 steps (the 3x3 steps of a
-double-shift chase took about 8 us, and a solve about 10,300 of them).
+than arithmetic, and a solve about 4,000 steps.
 ``eigenvalues`` is ``spectra`` on one matrix.  Both are general dense
 solvers: they do not look for centrosymmetry.
 ``centrolab spectrum`` solves the two Weaver blocks together in one
@@ -319,15 +319,16 @@ def _reduce(mat) -> tuple[np.ndarray, int]:
 def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: str | None) -> list[float]:
     """First column of the shift polynomial p(H) on the unreduced block [lo, hi].
 
-    With ``_SHIFTS`` = m, p is the characteristic polynomial of the
-    block's trailing m x m submatrix, and the column has m + 1 entries.
-    Its coefficients come from the Hessenberg recurrence and the column
-    from Horner's rule, in Python floats, on a copy of the entries it
-    reads scaled by the power of two that brings their largest to
-    [1/2, 1), so m-fold products neither overflow nor underflow.  A
-    block of fewer than m + 2 rows, or ``adhoc``, takes the double shift
-    instead, with a column of three entries: the eigenvalues of the
-    trailing 2x2 submatrix, or LAPACK xLAHQR's exceptional pair
+    The column has m + 1 entries, m = ``_SHIFTS``, for every block and
+    shift.  p is the characteristic polynomial of the block's trailing
+    m x m submatrix.  Its coefficients come from the Hessenberg
+    recurrence and the column from Horner's rule, in Python floats, on a
+    copy of the entries it reads scaled by the power of two that brings
+    their largest to [1/2, 1), so m-fold products neither overflow nor
+    underflow.  A block of fewer than m + 2 rows, or ``adhoc``, takes
+    the double shift instead: three closed-form entries padded with
+    m - 2 zeros.  Its shifts are the eigenvalues of the trailing 2x2
+    submatrix, or LAPACK xLAHQR's exceptional pair
     ``c +/- i sqrt(0.4375) s``, where ``adhoc`` is ``"bottom"`` or
     ``"top"``, s sums the two subdiagonal magnitudes at that corner of
     the block and ``c = h[r, r] + 0.75 s`` for its corner entry h[r, r].
@@ -351,8 +352,7 @@ def _bulge(h: np.ndarray, lo: int, hi: int, adhoc: str | None) -> list[float]:
         h10, h11, h21 = item(lo + 1, lo), item(lo + 1, lo + 1), item(lo + 2, lo + 1)
         x = h00 * h00 + h01 * h10 - shift_sum * h00 + shift_prod
         y = h10 * (h00 + h11 - shift_sum)
-        z = h10 * h21
-        return [x, y, z]
+        return [x, y, h10 * h21] + [0.0] * (_SHIFTS - 2)
     m = _SHIFTS
     tail = h[hi - m + 1 : hi + 1, hi - m + 1 : hi + 1]
     head = h[lo : lo + m + 1, lo : lo + m]
@@ -400,12 +400,18 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     block [lo, hi] of three or more rows of every unfinished matrix, with
     the block's own shifts (``_bulge``) and stall count, and skips its
     deflated 1x1 and 2x2 blocks.  The bulges are chased together: at
-    step k every block that covers k reads its bulge column, the first
-    column of its sweep at k = lo, and every matrix with no block at k
-    reads a zero column, whose reflector is the identity; one stacked
-    product per side then applies all the reflectors, and its bits for
-    one matrix do not depend on the others.  A stacked slice's reflector
-    is the identity on every deflated block's rows and columns, which
+    step k every block that covers k reads its bulge column, rows k to
+    k + m of column k - 1, or the first column of its sweep at k = lo,
+    and every matrix with no block at k reads a zero column, whose
+    reflector is the identity.  Every read has that one shape.  Its rows
+    past hi are exact zeros: the zero padding below a matrix's last row,
+    or the zeroed patch below the cut h[hi + 1, hi], on which the
+    reflectors of both blocks act as the identity.  So a block's
+    reflector is the identity past hi too, and a bulge never leaves its
+    block.  One stacked product per side then applies all the
+    reflectors, and its bits for one matrix do not depend on the
+    others.  A stacked slice's reflector is the identity on every
+    deflated block's rows and columns, which
     leaves the entries of a deflated block, and of a finished matrix, as
     they are (no entry is -0.0, see ``_reduce``), so every eigenvalue is
     read once, by ``_peel_blocks``, from the final quasi-triangular stack
@@ -463,8 +469,6 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
     ks, offsets = np.ogrid[:size, :width]
     column_at = (size * np.arange(lanes)[:, None, None] + ks + offsets) * size + ks - 1
     first_at = stack.size + width * (size * np.arange(lanes)[:, None, None] + ks) + offsets
-    # reads[n][t]: which entries a bulge of length n reads t rows above hi
-    reads = {n: np.minimum(n, ks + 1) > offsets for n in {3, width}}
     budgets = [30 * n if max_sweeps is None else max_sweeps for n in orders]
     his = [n - 1 for n in orders]  # where each scan starts: the last row not yet deflated
     sweeps = [0] * lanes
@@ -481,7 +485,7 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
         negligible = (
             np.abs(stack.diagonal(-1, 1, 2)) <= _DEFLATE * (diag[:, :-1] + diag[:, 1:])
         ).tobytes()
-        chases = []  # (matrix, lo, hi, length of the first bulge column)
+        chases = []  # (matrix, lo, hi)
         for j, h in enumerate(stack):
             hi, row = his[j], (size - 1) * j
             if hi < 0:
@@ -510,9 +514,8 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
                     if taken % _EXCEPTIONAL_EVERY == 0:
                         adhoc = "top" if taken % (2 * _EXCEPTIONAL_EVERY) == 0 else "bottom"
                         exceptional[j] += 1
-                    first = _bulge(h, lo, i, adhoc)
-                    firsts[j, lo, : len(first)] = first
-                    chases.append((j, lo, i, len(first)))
+                    firsts[j, lo] = _bulge(h, lo, i, adhoc)
+                    chases.append((j, lo, i))
                 else:
                     exhausted = True
                 i = lo - 1
@@ -524,19 +527,14 @@ def spectra(mats, max_sweeps: int | None = None) -> list[Spectrum]:
         if not chases:
             break
 
-        k0 = min(lo for _, lo, _, _ in chases)
-        k1 = max(hi for _, _, hi, _ in chases)
+        k0 = min(lo for _, lo, _ in chases)
+        k1 = max(hi for _, _, hi in chases)
         # step k reads each bulge column from the sweep's first column at k = lo,
-        # from the stack after that, and zero where the bulge is shorter or past
-        # hi and at every matrix with no sweep at k
+        # from the stack after that, and zero at every matrix with no sweep at k
         at = np.full((k1 - k0, lanes, width), zero_at)
-        for j, lo, hi, n in chases:
-            at[lo - k0, j, :n] = first_at[j, lo, :n]
-            np.copyto(
-                at[lo - k0 + 1 : hi - k0, j],
-                column_at[j, lo + 1 : hi],
-                where=reads[n][hi - lo - 1 : 0 : -1],
-            )
+        for j, lo, hi in chases:
+            at[lo - k0, j] = first_at[j, lo]
+            at[lo - k0 + 1 : hi - k0, j] = column_at[j, lo + 1 : hi]
         # chase every bulge down its window; step k is the identity outside [lo, hi).
         # Step k's rows start at column max(k0, k - 1), its columns end at row
         # min(k + width + 1, k1 + 1)

@@ -89,7 +89,6 @@ __all__ = [
     "DEFAULT_TERM_BUDGET",
     "ChainExpectation",
     "convergence_table",
-    "gaussian_moment",
     "oracle_double_chain",
     "oracle_single_chain",
 ]
@@ -104,13 +103,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf
-
-
-def gaussian_moment(m: int) -> float:
-    """E[x^m] for standard normal x: (m-1)!! for even m, 0 for odd m."""
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    return 0.0 if m % 2 else _quotient(math.prod(range(m - 1, 0, -2)), 1)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,6 @@ from centrolab.centro import WeaverBlocks, _class_id, _weaver_split
 from _helpers import multiset_gap
 
 
-class TestCounterIdentity:
-    def test_order_one(self):
-        assert np.array_equal(cl.counter_identity(1), [[1.0]])
-
-    def test_order_two(self):
-        assert np.array_equal(cl.counter_identity(2), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_involution(self):
-        j = cl.counter_identity(5)
-        assert np.array_equal(j @ j, np.eye(5))
-
-    def test_rejects_zero_order(self):
-        with pytest.raises(ValueError):
-            cl.counter_identity(0)
-
-
 class TestEntryClass:
     def test_reflection_shares_representative(self):
         assert cl.entry_class(5, 0, 4).rep == (0, 4)

@@ -20,19 +20,6 @@ from centrolab.cli import main
 SRC = Path(cl.__file__).resolve().parents[1]
 
 
-class TestGaussianMoment:
-    def test_table(self):
-        assert cl.gaussian_moment(0) == 1.0
-        assert cl.gaussian_moment(1) == 0.0
-        assert cl.gaussian_moment(2) == 1.0
-        assert cl.gaussian_moment(4) == 3.0
-        assert cl.gaussian_moment(6) == 5.0 * 3.0 * 1.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            cl.gaussian_moment(-1)
-
-
 def _squared_entry_classes(n: int) -> int:
     """Independent count of cells (i, j) whose transpose cell lies in the
     same reflection class, which is exactly when E[x_ij * x_ji] = 1."""
@@ -658,19 +645,14 @@ def _double_factorial(m: int) -> float:
 
 
 class TestExactRounding:
-    def test_moments_are_correctly_rounded(self):
-        # (m - 1)!! leaves 2**53 at m = 32; a float running product then
-        # rounds at every step and drifts off the correctly rounded value
-        for m in range(0, 121, 2):
-            assert cl.gaussian_moment(m) == _double_factorial(m), m
-
     def test_single_index_chain_is_correctly_rounded(self):
-        # at n = 1 the only chain puts all k cells in one class: (k - 1)!!
+        # at n = 1 the only chain puts all k cells in one class: (k - 1)!!,
+        # which leaves 2**53 at k = 32, where a float running product would
+        # round at every step and drift off the correctly rounded value
         for k in range(2, 81, 2):
             assert cl.oracle_single_chain(1, k).value == _double_factorial(k), k
 
     def test_beyond_double_range_is_inf(self, tmp_path):
-        assert cl.gaussian_moment(400) == math.inf
         assert cl.oracle_single_chain(1, 400).value == math.inf
         assert cl.oracle_double_chain(1, 200, 200).value == math.inf
         argv = ["oracle", "--n", "1", "--k_list", "400", "--out", str(tmp_path)]
