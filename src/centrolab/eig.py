@@ -34,23 +34,15 @@ solve as an independent route.
 Spectral power sums also have a route that avoids the eigensolver.
 ``trace_powers`` is the batched core of that route: for a matrix or a
 ``(..., n, n)`` stack it forms only the half powers A^2 .. A^h,
-h = ceil(k/2), reads Tr A^1 .. A^h off their diagonals and
-``Tr A^k = sum(A^h * (A^(k-h))^T)`` off the top power and A^(k-h).
-When h >= 3 the top power A^h is stored transposed, written through a
-transposed view of its buffer at 3-9% more than a plain write, so each
-Tr A^k with h < k < 2h is a dot of two contiguous flattened arrays;
-Tr A^2h, and every trace above h when h <= 2, is reduced over a
-transposed operand.  No product reads the transposed power.  The dots
-are ``einsum`` reductions, not BLAS calls, since a BLAS dot splits its
-sum by the BLAS thread count.  ``_trace_core`` does the work in power
-buffers its caller gives, and sums Tr A^2 .. A^k of several stacks into
-a result its caller gives; Tr A^1 is the caller's.  ``trace_powers``
-allocates both and writes ``np.trace`` of the matrix as Tr A^1.  The
-Monte Carlo engine applies the core to the two Weaver blocks P and Q of
-a centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``, which needs
-about an eighth of the flops of dense powers of M, and takes Tr M^1
-from M's own diagonal.  How each trace is read off the stored powers
-depends on h alone, so k_max = 2h - 1 and 2h give the same bits.
+h = ceil(k/2), and reads every Tr A^k off them by the one storage and
+read rule stated in ``_trace_core``'s docstring.  ``_trace_core`` does
+the work in power buffers its caller gives, and sums Tr A^2 .. A^k of
+several stacks into a result its caller gives; Tr A^1 is the caller's.
+``trace_powers`` allocates both and writes ``np.trace`` of the matrix as
+Tr A^1.  The Monte Carlo engine applies the core to the two Weaver
+blocks P and Q of a centrosymmetric matrix, ``Tr M^k = Tr P^k + Tr Q^k``,
+which needs about an eighth of the flops of dense powers of M, and takes
+Tr M^1 from M's own diagonal.
 ``trace_power`` (repeated multiplication of the full matrix with one
 final trace) is the dense reference that tests and benchmark checks
 compare the core against.
@@ -591,28 +583,35 @@ def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
     Column 0, Tr A^1, is left to the caller.  For each stack in turn, the
     half powers A^i = A^(i-1) A, i = 2 .. h with ``h = ceil(k_max / 2)``,
     go into the leading ``a.size`` entries of the flat buffers
-    ``pool[0] .. pool[h-2]``, each formed from plain operands.  Only the
-    top power A^h is stored transposed, and only when h >= 3: its product
-    writes through a transposed view of the buffer, and no product reads
-    it.  Tr A^k is the diagonal sum of A^k for k <= h, and
-    Tr(A^h A^(k-h)) above h: a dot of the two flattened buffers when A^h
-    is stored transposed and k < 2h, else a reduction over a transposed
-    operand.  At h = 2, A^2 stays plain, so Tr A^3 and Tr A^4 stay
-    reductions, whose bits the trace pins in the tests hold.  With one
-    BLAS thread on a 2-vCPU host the transposed write costs 3-9% more
-    than a plain one (41.5 against 40 us for a (33, 32, 32) stack, 5.0
-    against 4.65 ms at order 500), while a flat dot takes about 55% of
-    the time of a transposed reduction (15 against 26.5 us, 165 against
-    290 us).  The first stack's traces are written into ``out`` and each later
-    stack's are added to them, in the order of ``stacks``.
+    ``pool[0] .. pool[h-2]``, each formed from plain operands.  The top
+    power A^h is stored transposed whenever a product forms it: that
+    product writes through a transposed view of its buffer, and no
+    product reads it.  One read rule then holds at every h:
+
+    - Tr A^k for k <= h is the diagonal sum of A^k;
+    - Tr A^k for h < k < 2h is a dot of the flattened top power and
+      A^(k-h);
+    - Tr A^2h is the top power's reduction with itself, over a
+      transposed operand.
+
+    The dots are ``einsum`` reductions, not BLAS calls, since a BLAS dot
+    splits its sum by the BLAS thread count.  With one BLAS thread on a
+    2-vCPU host the transposed write costs 3-9% more than a plain one
+    (41.5 against 40 us for a (33, 32, 32) stack, 5.0 against 4.65 ms at
+    order 500), while a flat dot takes about 55% of the time of a
+    transposed reduction (15 against 26.5 us, 165 against 290 us).  How
+    Tr A^k is read depends on h alone, so k_max 2h - 1 and 2h give the
+    same bits, while different h need not: Tr A^3, for one, is a dot at
+    h = 2 and A^3's diagonal sum from h = 3 on.  The first stack's traces
+    are written into ``out`` and each later stack's are added to them, in
+    the order of ``stacks``.
     """
     h = (k_max + 1) // 2
-    transposed = h >= 3
     for s, a in enumerate(stacks):
-        powers = [None, a]  # powers[i] is A^i, or its transpose for the top one
+        powers = [None, a]  # powers[i] is A^i, or its transpose for a formed top power
         for i in range(2, h + 1):
             buf = pool[i - 2][: a.size].reshape(a.shape)
-            np.matmul(powers[i - 1], a, out=buf.swapaxes(-1, -2) if transposed and i == h else buf)
+            np.matmul(powers[i - 1], a, out=buf.swapaxes(-1, -2) if i == h else buf)
             powers.append(buf)
 
         top = powers[h]
@@ -620,7 +619,7 @@ def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
         for k in range(2, k_max + 1):
             if k <= h:
                 value = np.trace(powers[k], axis1=-2, axis2=-1)
-            elif transposed and k < 2 * h:
+            elif k < 2 * h:
                 value = np.einsum("...i,...i->...", top.reshape(flat), powers[k - h].reshape(flat))
             else:
                 value = np.einsum("...ij,...ji->...", top, powers[k - h])
@@ -634,18 +633,11 @@ def _trace_core(stacks, k_max: int, pool, out: np.ndarray) -> np.ndarray:
 def trace_powers(mat, k_max: int) -> np.ndarray:
     """Traces of A^1 .. A^k_max for a real matrix or a ``(..., n, n)`` stack.
 
-    Forms the half powers A^2 .. A^h with ``h = ceil(k_max / 2)``, that is
-    ``h - 1`` products, and reads each trace above A^h off the top power
-    and A^(k-h), ``Tr A^k = sum(A^h * (A^(k-h))^T)``.  Returns shape
-    ``(..., k_max)``; Tr A^1 .. A^h are diagonal sums.  Allocates the
-    result and the power buffers, writes ``np.trace`` of the matrix as
-    Tr A^1, and leaves the rest, work and storage layout, to
-    ``_trace_core``.  The bits depend on h, not on k_max itself: k_max
-    2h - 1 and 2h give bitwise equal traces, but different h need not,
-    since Tr A^k is read differently.  ``trace_powers(x, 3)[2]`` (a
-    reduction of A^2 and A^1) and ``trace_powers(x, 5)[2]`` (A^3's
-    diagonal) differ by 1.8e-15 for one 5x5 Gaussian x (the ROADMAP item
-    "one determinism contract" makes them agree).
+    Returns shape ``(..., k_max)``.  Allocates the result and the
+    ``h - 1`` power buffers, ``h = ceil(k_max / 2)``, writes ``np.trace``
+    of the matrix as Tr A^1, and leaves the rest to ``_trace_core``, whose
+    docstring states how each trace is read off the half powers and so
+    how its bits depend on h.
     """
     if k_max < 1:
         raise ValueError(f"power must be positive, got {k_max}")

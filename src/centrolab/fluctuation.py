@@ -38,13 +38,10 @@ seeds draw different matrices and the sample multiset is independent of
 the execution schedule and the worker count.  Stack boundaries depend
 only on the order and the trial count, and reductions run in
 trial-index order, so reports are bit-identical for a fixed master seed
-and any worker count at a fixed BLAS thread count and a fixed
-h = ceil(k_max / 2).  The BLAS thread count itself moves the bits:
-OpenBLAS's threaded ``dgemm`` moves traces at n = 1000 by up to
-5.3e-15.  So can h: ``trace_powers`` reads Tr M^k off the stored powers
-in a way that depends on h alone, so k_max 5 and 6 give the same bits,
-but ``moment_suite`` at k_max 3 and 6 can give Tr M^3 with different
-last bits (the ROADMAP item "one determinism contract").
+and any worker count.  Two settings outside the schedule move the last
+bits: the BLAS thread count (OpenBLAS's threaded ``dgemm`` moves traces
+at n = 1000 by up to 5.3e-15) and h = ceil(k_max / 2), on which
+``_trace_core``'s read rule depends.
 
 Trial t draws exactly what
 ``sample_centro(n, dist, trial_seed(master_seed, t))`` draws, but the
@@ -202,9 +199,8 @@ def _ordered_map(work, count: int, threads: int | None) -> list:
     ``threads`` is None), where ``cpus`` is the number of CPUs this
     process may run on (its affinity set where the platform reports one,
     else ``os.cpu_count()``): more would only hold more stacks in memory
-    at once, since results do not depend on the worker count.  That holds
-    bit for bit at a fixed BLAS thread count; the BLAS thread count moves
-    traces at n = 1000 by up to 5.3e-15 (OpenBLAS's threaded ``dgemm``).
+    at once, since results do not depend on the worker count (bit for
+    bit, on the terms the module docstring states).
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

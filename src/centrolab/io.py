@@ -56,7 +56,7 @@ def read_matrix_csv(path) -> np.ndarray:
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    a = np.array(rows, dtype=float)
+    a = np.array(rows, dtype=float) if n else np.empty((0, 0))
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {a.shape}")
     return a

@@ -88,8 +88,8 @@ class TestWeaverFirstTraces:
         stack_size = fluctuation._stack_size
         monkeypatch.setattr(fluctuation, "_stack_size", lambda n: min(stack_size(n), 200))
         # k_max 2, 4, 5, 7 take h = ceil(k_max/2) = 1, 2, 3, 4: both parities
-        # of h, with and without a transposed top power; k_max 1 forms no
-        # power, and k_max 6 reduces Tr A^3 A^3 over the transposed A^3
+        # of h; every h >= 2 stores its top power transposed, k_max 1 and 2
+        # form no power, and k_max 6 reduces Tr A^3 A^3 over the transposed A^3
         k_maxes = (1, 2, 4, 5, 6, 7)
         for n in (1, 2, 3, 9, 13, 31, 40, 63, 64):
             trials = fluctuation._stack_size(n) + 9
@@ -127,7 +127,7 @@ class TestWeaverFirstTraces:
     @pytest.mark.parametrize(
         "n, k_max, dist, digest",
         [
-            (7, 4, "gaussian", "32b9117f07079d31"),
+            (7, 4, "gaussian", "1b1586f37dde02fe"),
             (63, 6, "uniform", "f279a432009ee66d"),
             (64, 5, "gaussian", "0f34ad96038d4128"),
         ],
@@ -140,17 +140,18 @@ class TestWeaverFirstTraces:
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_les_polynomial_is_the_trial_loop_on_one_matrix(self, n):
-        # bitwise only at the same h = ceil(k_max/2): how traces are read
-        # depends on it
+        # bitwise at the same h = ceil(k_max/2), which fixes how traces are
+        # read: both degrees are odd, so k_max deg f and deg f + 1 share it
         fs = [cl.Polynomial([0, 0, 1, 0, 0, 4]), cl.Polynomial([0.5, 1j, 0, 2 - 1j])]
-        for dist, f in itertools.product(("gaussian", "uniform"), fs):
-            traces = _trial_traces(n, 5, f.degree, dist, 17, 1)
+        for dist, f, extra in itertools.product(("gaussian", "uniform"), fs, (0, 1)):
+            traces = _trial_traces(n, 5, f.degree + extra, dist, 17, 1)
             for t in (0, 2, 4):
                 m = cl.sample_centro(n, dist, cl.trial_seed(17, t))
                 single = cl.les_polynomial(m, f)
                 looped = _les_values(traces[t], f, n)
-                assert type(single) is type(looped), (n, dist, t)
-                assert np.array(single).tobytes() == looped.tobytes(), (n, dist, t)
+                case = (n, dist, f.degree + extra, t)
+                assert type(single) is type(looped), case
+                assert np.array(single).tobytes() == looped.tobytes(), case
 
     def test_trial_loop_never_forms_the_matrix(self, monkeypatch):
         def refuse(draws, n):
@@ -463,6 +464,13 @@ class TestMomentSuite:
         # order 40 stacks 81 trials: 200 trials make three stacks
         reports = [cl.moment_suite(40, 200, 4, "gaussian", 19, threads=w) for w in (1, 2, 8)]
         assert reports[0].entries == reports[1].entries == reports[2].entries
+
+    @pytest.mark.parametrize("k_max", [3, 5])
+    def test_kmax_of_one_h_gives_equal_shared_rows(self, k_max):
+        # k_max 2h - 1 and 2h run the trace core at the same h
+        odd = cl.moment_suite(33, 50, k_max, "gaussian", 29)
+        even = cl.moment_suite(33, 50, k_max + 1, "gaussian", 29)
+        assert odd.entries == [even.entry(e.k, e.l) for e in odd.entries]
 
     def test_deterministic(self):
         a = cl.moment_suite(25, 30, 2, "gaussian", 13)
